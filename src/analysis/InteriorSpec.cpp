@@ -242,7 +242,7 @@ StmtPtr cloneStmt(const StmtPtr &S, const CloneCtx &C, const Facts &F) {
     for (const StmtPtr &B : S->Body)
       Body.push_back(cloneStmt(B, C, Inner));
     return ocl::sLoop(S->LK, S->Dim, S->LoopVar, std::move(Count),
-                      std::move(Body), S->Unroll);
+                      std::move(Body), S->Unroll, S->Simd);
   }
   }
   return S;
@@ -296,11 +296,20 @@ struct InteriorVerify {
 // The splitter
 //===----------------------------------------------------------------------===//
 
+/// True when \p Body contains a parallel grid loop at any depth.
+bool containsGridLoop(const std::vector<StmtPtr> &Body) {
+  for (const StmtPtr &S : Body)
+    if (S->K == Stmt::Kind::Loop &&
+        (S->LK == ocl::LoopKind::Glb || containsGridLoop(S->Body)))
+      return true;
+  return false;
+}
+
 struct Splitter {
   ocl::Kernel &K;
   SpecStats &Stats;
   /// Occurrences of every register across the whole kernel; updated as
-  /// clones introduce fresh registers so nested splits stay checkable.
+  /// clones introduce fresh registers so later splits stay checkable.
   std::unordered_map<int, unsigned> GlobalRegUses;
 
   std::vector<StmtPtr> processBody(const std::vector<StmtPtr> &Body,
@@ -308,20 +317,28 @@ struct Splitter {
     std::vector<StmtPtr> Out;
     Out.reserve(Body.size());
     for (const StmtPtr &S : Body) {
-      if (S->K == Stmt::Kind::Loop) {
-        if (S->LK == ocl::LoopKind::Glb) {
-          trySplit(S, F, Out);
-          continue;
-        }
-        if (S->LK == ocl::LoopKind::Seq) {
-          Facts Inner = F.withLoopVar(S->LoopVar, S->Count);
-          Out.push_back(ocl::sLoop(S->LK, S->Dim, S->LoopVar, S->Count,
-                                   processBody(S->Body, Inner), S->Unroll));
-          continue;
-        }
-        // Wrg/Lcl subtrees (tiled/local-memory kernels) are left alone.
+      // Wrg/Lcl subtrees (tiled/local-memory kernels) are left alone.
+      bool Descend = S->K == Stmt::Kind::Loop &&
+                     (S->LK == ocl::LoopKind::Glb ||
+                      S->LK == ocl::LoopKind::Seq);
+      if (!Descend) {
+        Out.push_back(S);
+        continue;
       }
-      Out.push_back(S);
+      if (!containsGridLoop(S->Body)) {
+        // Only the innermost grid loop splits: it carries the
+        // unit-stride dimension, and the clamps of the outer dimensions
+        // are loop-invariant inside it.
+        if (S->LK == ocl::LoopKind::Glb)
+          trySplit(S, F, Out);
+        else
+          Out.push_back(S);
+        continue;
+      }
+      Facts Inner = F.withLoopVar(S->LoopVar, S->Count);
+      Out.push_back(ocl::sLoop(S->LK, S->Dim, S->LoopVar, S->Count,
+                               processBody(S->Body, Inner), S->Unroll,
+                               S->Simd));
     }
     return Out;
   }
@@ -342,22 +359,18 @@ struct Splitter {
     return Map;
   }
 
+  /// Splits the innermost grid loop \p Loop, or keeps it unchanged when
+  /// no split applies. Loops a previous split produced never split
+  /// again — the interior carries no boundary work on its variable and
+  /// each edge loop runs at most H iterations — so the pass is
+  /// idempotent.
   void trySplit(const StmtPtr &Loop, const Facts &F,
                 std::vector<StmtPtr> &Out) {
-    // Keep the loop (with recursively processed body) when no split
-    // applies.
-    auto Keep = [&]() {
-      Facts Inner = F.withLoopVar(Loop->LoopVar, Loop->Count);
-      Out.push_back(ocl::sLoop(Loop->LK, Loop->Dim, Loop->LoopVar,
-                               Loop->Count, processBody(Loop->Body, Inner),
-                               Loop->Unroll));
-    };
-
     EligibilityScan Scan{K};
     for (const StmtPtr &S : Loop->Body)
       Scan.stmt(S);
     if (!Scan.Ok) {
-      Keep();
+      Out.push_back(Loop);
       return;
     }
     // Registers written here must not be visible elsewhere: clones get
@@ -365,7 +378,7 @@ struct Splitter {
     for (const auto &[Id, N] : Scan.RegUses) {
       auto It = GlobalRegUses.find(Id);
       if (It == GlobalRegUses.end() || It->second != N) {
-        Keep();
+        Out.push_back(Loop);
         return;
       }
     }
@@ -373,7 +386,21 @@ struct Splitter {
     unsigned VId = Loop->LoopVar->getVarId();
     const std::string &VName = Loop->LoopVar->getVarName();
 
+    // Nothing to erase: the body is already clamp-free on this loop.
+    InteriorVerify Own{VId};
+    for (const StmtPtr &S : Loop->Body)
+      Own.stmt(S);
+    if (Own.Clean) {
+      Out.push_back(Loop);
+      return;
+    }
+
     for (int H = 1; H <= MaxHalo; ++H) {
+      // A loop of at most 2H iterations has an empty interior (and
+      // every larger halo is emptier still).
+      if (provablyLE(Loop->Count, cst(2 * H), F))
+        break;
+
       Range VR;
       VR.Min = 0;
       AExpr VI = var(VName + "_i", VR);
@@ -403,22 +430,23 @@ struct Splitter {
                                std::move(LeftCount), Loop->Body,
                                Loop->Unroll));
 
-      // Interior [H, count - H): fresh registers, simplified body,
-      // then recurse so nested grid loops split too.
+      // Interior [H, count - H): fresh registers, simplified body.
       auto RegMapI = duplicateRegs(Scan.RegUses, "_i");
       CloneCtx CI{Subst, &RegMapI, /*Simplify=*/true, &Stats};
       std::vector<StmtPtr> InteriorBody;
       InteriorBody.reserve(Loop->Body.size());
       for (const StmtPtr &S : Loop->Body)
         InteriorBody.push_back(cloneStmt(S, CI, IF));
-      InteriorBody = processBody(InteriorBody, IF);
       AExpr InteriorCount = amax(cst(0), sub(Loop->Count, cst(2 * H)));
       Out.push_back(ocl::sLoop(Loop->LK, Loop->Dim, VI,
                                std::move(InteriorCount),
-                               std::move(InteriorBody), Loop->Unroll));
+                               std::move(InteriorBody), Loop->Unroll,
+                               /*Simd=*/true));
 
       // Right edge [max(H, count - H), count): fresh registers, the
-      // general body shifted to the tail, no simplification.
+      // general body shifted to the tail, no simplification. Its trip
+      // count count - max(H, count - H) never exceeds H; the explicit
+      // min lets a second pass prove the loop short.
       AExpr VRight = var(VName + "_r", VR);
       AExpr RightStart = amax(cst(H), sub(Loop->Count, cst(H)));
       std::unordered_map<unsigned, AExpr> SubstR{
@@ -429,7 +457,8 @@ struct Splitter {
       RightBody.reserve(Loop->Body.size());
       for (const StmtPtr &S : Loop->Body)
         RightBody.push_back(cloneStmt(S, CR, Facts()));
-      AExpr RightCount = amax(cst(0), sub(Loop->Count, RightStart));
+      AExpr RightCount =
+          amin(cst(H), amax(cst(0), sub(Loop->Count, RightStart)));
       Out.push_back(ocl::sLoop(Loop->LK, Loop->Dim, VRight,
                                std::move(RightCount), std::move(RightBody),
                                Loop->Unroll));
@@ -437,7 +466,7 @@ struct Splitter {
       ++Stats.LoopsSplit;
       return;
     }
-    Keep();
+    Out.push_back(Loop);
   }
 };
 

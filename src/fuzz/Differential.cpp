@@ -6,7 +6,6 @@
 
 #include "fuzz/Fuzzer.h"
 
-#include "analysis/InteriorSpec.h"
 #include "analysis/RangeAnalysis.h"
 #include "codegen/Runner.h"
 #include "ir/StructuralHash.h"
@@ -211,7 +210,8 @@ DiffResult mismatch(std::string Report) {
 
 /// Oracle (f): compiles the lowered kernel to C with the host
 /// compiler (through the shared KernelCache, so a campaign compiles
-/// each distinct lowering once) and requires the native output to be
+/// each distinct lowering once; the backend interior-specializes every
+/// kernel it compiles) and requires the native output to be
 /// bit-identical to the interpreter's. Mismatch and compile-failure
 /// reports embed the emitted C source so shrunk artifacts are
 /// self-contained. Returns nullopt when the oracle agrees.
@@ -220,32 +220,21 @@ std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
                                       const std::vector<float> &RefFlat,
                                       const BuiltProgram &B,
                                       const DiffOptions &O) {
-  const std::string L =
-      O.Specialize ? Label + " [interior-specialized]" : Label;
   try {
-    Compiled NC = C;
-    std::size_t Hash = ir::structuralHash(Low);
-    if (O.Specialize) {
-      // Interior/edge-specialized kernels share the cache with the
-      // generic form of the same lowering; perturb the hash so the two
-      // binaries stay distinct (source comparison resolves collisions).
-      NC.K = analysis::specializeInterior(C.K);
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
-    }
-    native::NativeKernelPtr Kern =
-        native::KernelCache::global().getOrCompile(Hash, NC.K);
+    native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
+        ir::structuralHash(Low), C.K);
     native::NativeRunResult NR =
-        native::runNative(NC, *Kern, B.Flat, B.Sizes, O.NativeThreads);
+        native::runNative(C, *Kern, B.Flat, B.Sizes, O.NativeThreads);
     if (firstDivergence(RefFlat, NR.Output) != -1)
-      return mismatch(mismatchReport(L, RefFlat, NR.Output) +
+      return mismatch(mismatchReport(Label, RefFlat, NR.Output) +
                       "emitted C source:\n" + Kern->source());
   } catch (const native::CompileFailedError &Ex) {
     // The emitter produced C the host compiler rejects: an emitter
     // bug, reported (and shrunk) like any other oracle failure.
-    return mismatch("oracle mismatch: " + L + "\nnative compile failed: " +
+    return mismatch("oracle mismatch: " + Label + "\nnative compile failed: " +
                     Ex.what() + "\nemitted C source:\n" + Ex.Source);
   } catch (const native::NativeError &Ex) {
-    return mismatch("oracle mismatch: " + L +
+    return mismatch("oracle mismatch: " + Label +
                     "\nnative backend failed: " + Ex.what());
   }
   return std::nullopt;

@@ -141,12 +141,6 @@ struct DiffOptions {
   /// emitted C source. Callers should gate on probeToolchain().
   bool Native = false;
   unsigned NativeThreads = 2; ///< OpenMP threads for the native oracle
-  /// Native oracle variant: run every native kernel through the
-  /// interior/edge specializer (analysis/InteriorSpec.h) first; the
-  /// specialized kernel must still be bit-identical to the
-  /// interpreter. Exercises the boundary-elimination transform on
-  /// every generated program.
-  bool Specialize = false;
   /// Statically bounds-check every lowered kernel against the spec's
   /// concrete sizes (analysis/RangeAnalysis.h). Accesses the prover
   /// cannot discharge are *counted* (fuzz.bounds.unproven), not

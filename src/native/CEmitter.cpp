@@ -246,10 +246,39 @@ private:
   std::unordered_map<int, Uses> BufUses;
 };
 
+/// True when \p Loop's body is nothing but stores to buffers the body
+/// never loads: its iterations are then independent lanes, and
+/// `#pragma omp simd` cannot reorder a read after a write.
+bool isPureStoreStream(const Stmt &Loop) {
+  std::unordered_set<int> Stored;
+  for (const StmtPtr &S : Loop.Body) {
+    if (S->K != Stmt::Kind::Store)
+      return false;
+    Stored.insert(S->BufferId);
+  }
+  struct LoadScan {
+    const std::unordered_set<int> &Stored;
+    bool Hit = false;
+    void expr(const KExpr &E) {
+      if (E.K == KExpr::Kind::Load && Stored.count(E.BufferId))
+        Hit = true;
+      for (const KExprPtr &A : E.Args)
+        expr(*A);
+      if (E.Then)
+        expr(*E.Then);
+      if (E.Else)
+        expr(*E.Else);
+    }
+  } Scan{Stored};
+  for (const StmtPtr &S : Loop.Body)
+    Scan.expr(*S->Value);
+  return !Scan.Hit;
+}
+
 class Printer {
 public:
   Printer(const Kernel &K, const CEmitOptions &O)
-      : K(K), Profile(O.Profile), Plan(makePlan(O)) {
+      : K(K), Profile(O.Profile), OpenMP(O.OpenMP), Plan(makePlan(O)) {
     // Claim names in a fixed order: buffers, registers, size args,
     // loop variables (in syntactic order), so renames on collision are
     // deterministic.
@@ -265,7 +294,7 @@ public:
     if (Profile) {
       std::vector<KernelRegion> Regions = profileRegions(K);
       for (std::size_t I = 0; I != Regions.size(); ++I)
-        RegionIdx[Regions[I].Loop] = {I, Regions[I].Name};
+        RegionIdx[Regions[I].Loop] = {I, Regions[I]};
     }
   }
 
@@ -303,13 +332,14 @@ private:
 
   const Kernel &K;
   bool Profile;
+  bool OpenMP;
   ParPlan Plan;
   NameMap Names;
   std::string EntryName;
   std::string Out;
   int Indent = 0;
-  /// Profile mode: region root -> (lift_prof slot, region name).
-  std::unordered_map<const Stmt *, std::pair<std::size_t, std::string>>
+  /// Profile mode: first loop of a region -> (lift_prof slot, region).
+  std::unordered_map<const Stmt *, std::pair<std::size_t, KernelRegion>>
       RegionIdx;
 };
 
@@ -438,18 +468,13 @@ void Printer::printStmt(const Stmt &S) {
     break;
   }
 
-  auto Region = RegionIdx.end();
-  if (Profile && (Region = RegionIdx.find(&S)) != RegionIdx.end()) {
-    line("{ /* region " + std::to_string(Region->second.first) + ": " +
-         Region->second.second + " */");
-    ++Indent;
-    line("const double lift_t0 = lift_prof_now();");
-  }
-
   bool IsRoot = Plan.Parallel && Plan.Roots.count(&S);
+  bool Simd = OpenMP && S.Simd && isPureStoreStream(S);
   if (IsRoot)
-    line("#pragma omp parallel for schedule(static) "
-         "num_threads(lift_threads)");
+    line(std::string("#pragma omp parallel for") + (Simd ? " simd" : "") +
+         " schedule(static) num_threads(lift_threads)");
+  else if (Simd)
+    line("#pragma omp simd");
   if (S.Unroll && S.Count->getKind() == ArithExpr::Kind::Cst &&
       S.Count->getCst() >= 1 && S.Count->getCst() <= 64)
     line("#pragma GCC unroll " + std::to_string(S.Count->getCst()));
@@ -470,18 +495,32 @@ void Printer::printStmt(const Stmt &S) {
   printStmts(S.Body);
   --Indent;
   line("}");
+}
 
-  if (Region != RegionIdx.end()) {
-    line("lift_prof[" + std::to_string(Region->second.first) +
+void Printer::printStmts(const std::vector<StmtPtr> &Body) {
+  for (std::size_t I = 0; I != Body.size(); ++I) {
+    auto Region = RegionIdx.end();
+    if (Profile)
+      Region = RegionIdx.find(Body[I].get());
+    if (Region == RegionIdx.end()) {
+      printStmt(*Body[I]);
+      continue;
+    }
+    // A region times its loops as one: a single nest, or the edge /
+    // interior / edge loops of a split innermost loop.
+    const std::size_t Slot = Region->second.first;
+    const KernelRegion &R = Region->second.second;
+    line("{ /* region " + std::to_string(Slot) + ": " + R.Name + " */");
+    ++Indent;
+    line("const double lift_t0 = lift_prof_now();");
+    for (std::size_t J = 0; J != R.Loops.size(); ++J)
+      printStmt(*Body[I + J]);
+    I += R.Loops.size() - 1;
+    line("lift_prof[" + std::to_string(Slot) +
          "] += lift_prof_now() - lift_t0;");
     --Indent;
     line("}");
   }
-}
-
-void Printer::printStmts(const std::vector<StmtPtr> &Body) {
-  for (const StmtPtr &S : Body)
-    printStmt(*S);
 }
 
 std::string Printer::run() {
@@ -530,8 +569,10 @@ std::string Printer::run() {
   }
   Out += "\n";
 
+  // User functions are force-inlined: a call the vectorizer cannot see
+  // through keeps an `omp simd` interior scalar.
   for (const ir::UserFunPtr &UF : K.UserFuns) {
-    std::string Sig = "static ";
+    std::string Sig = "static inline __attribute__((always_inline)) ";
     Sig += UF->getRetKind() == ir::ScalarKind::Float ? "float" : "int";
     Sig += " " + UF->getName() + "(";
     for (std::size_t I = 0; I != UF->getParamNames().size(); ++I) {
@@ -578,44 +619,69 @@ std::string Printer::run() {
 } // namespace
 
 std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
+  auto IsPar = [](const Stmt &S) {
+    return S.K == Stmt::Kind::Loop &&
+           (S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg);
+  };
+  // The loops of \p Body grouped as regions see them: a split innermost
+  // loop (edge, Simd interior, edge; analysis/InteriorSpec.h) is one
+  // group, every other loop its own.
+  auto GroupLoops = [&](const std::vector<StmtPtr> &Body) {
+    std::vector<std::vector<const Stmt *>> Groups;
+    for (std::size_t I = 0; I != Body.size(); ++I) {
+      const Stmt &S = *Body[I];
+      if (S.K != Stmt::Kind::Loop)
+        continue;
+      bool Split = I + 2 < Body.size() && S.LK == LoopKind::Glb &&
+                   Body[I + 1]->Simd;
+      for (std::size_t J = 1; Split && J != 3; ++J)
+        Split = Body[I + J]->K == Stmt::Kind::Loop &&
+                Body[I + J]->LK == LoopKind::Glb &&
+                Body[I + J]->Dim == S.Dim;
+      std::size_t N = Split ? 3 : 1;
+      Groups.emplace_back();
+      for (std::size_t J = 0; J != N; ++J)
+        Groups.back().push_back(Body[I + J].get());
+      I += N - 1;
+    }
+    return Groups;
+  };
+
   std::vector<KernelRegion> Out;
   std::unordered_set<std::string> UsedNames;
-  auto Add = [&](const Stmt &Loop) {
+  auto Add = [&](std::vector<const Stmt *> Loops) {
     KernelRegion R;
-    R.Kind = loopKindName(Loop.LK);
-    std::string Base = R.Kind + "." + Loop.LoopVar->getVarName();
+    R.Kind = loopKindName(Loops.front()->LK);
+    std::string Base = R.Kind + "." + Loops.front()->LoopVar->getVarName();
     R.Name = Base;
     for (unsigned N = 2; !UsedNames.insert(R.Name).second; ++N)
       R.Name = Base + "_" + std::to_string(N);
-    R.Loop = &Loop;
+    R.Loop = Loops.front();
+    R.Loops = std::move(Loops);
     Out.push_back(std::move(R));
   };
-  auto IsPar = [](const Stmt &S) {
-    return S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg;
-  };
 
-  for (const StmtPtr &Top : K.Body) {
-    if (Top->K != Stmt::Kind::Loop)
+  for (std::vector<const Stmt *> &Top : GroupLoops(K.Body)) {
+    if (Top.size() != 1) {
+      Add(std::move(Top));
       continue;
+    }
     // Walk the grid spine: consecutive Glb/Wrg loops whose body is a
     // single nested Glb/Wrg loop (the NDRange dimensions).
-    const Stmt *Cur = Top.get();
-    while (IsPar(*Cur) && Cur->Body.size() == 1 &&
-           Cur->Body[0]->K == Stmt::Kind::Loop && IsPar(*Cur->Body[0]))
+    const Stmt *Cur = Top.front();
+    while (IsPar(*Cur) && Cur->Body.size() == 1 && IsPar(*Cur->Body[0]))
       Cur = Cur->Body[0].get();
     // A grid whose innermost spine loop carries several sub-loops
     // (tile fill / compute / reduce) gets one region per sub-loop;
     // everything else is a single whole-nest region.
-    std::vector<const Stmt *> Subloops;
+    std::vector<std::vector<const Stmt *>> Subloops;
     if (IsPar(*Cur))
-      for (const StmtPtr &C : Cur->Body)
-        if (C->K == Stmt::Kind::Loop)
-          Subloops.push_back(C.get());
+      Subloops = GroupLoops(Cur->Body);
     if (Subloops.size() >= 2)
-      for (const Stmt *L : Subloops)
-        Add(*L);
+      for (std::vector<const Stmt *> &L : Subloops)
+        Add(std::move(L));
     else
-      Add(*Top);
+      Add(std::move(Top));
   }
   return Out;
 }

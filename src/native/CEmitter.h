@@ -34,6 +34,14 @@
 /// of them) the emitter falls back to a fully sequential program,
 /// which is always correct.
 ///
+/// Vectorization: a loop carrying Stmt::Simd (the clamp-free interior
+/// of a split grid loop) whose body only stores to buffers it never
+/// loads gets `#pragma omp simd` (`parallel for simd` when it is also a
+/// parallel root). User functions are emitted `static inline` with
+/// `always_inline` so the vectorizer sees through them. Lanes compute
+/// exactly the scalar operations (-ffp-contract=off, no reassociation),
+/// so the output stays bit-identical.
+///
 /// The entry point ABI is positional:
 ///
 ///   void <name>(void **lift_bufs, const long long *lift_sizes,
@@ -55,9 +63,11 @@
 /// timers that *accumulate* elapsed seconds into lift_prof[k], k being
 /// the region's index in profileRegions() order. The computation is
 /// untouched — outputs stay bit-identical to the unprofiled kernel —
-/// but pragmas are suppressed (sequential execution) so nested region
-/// timers measure exactly one thread's work and attribution is exact;
-/// lift_threads is accordingly inert under profiling.
+/// but the `omp parallel` pragmas are suppressed (sequential execution)
+/// so nested region timers measure exactly one thread's work and
+/// attribution is exact; lift_threads is accordingly inert under
+/// profiling. `#pragma omp simd` stays, so a profile times the same
+/// vectorized loops the unprofiled kernel runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,9 +84,11 @@ namespace native {
 
 struct CEmitOptions {
   /// Emit `#pragma omp parallel for` on parallelizable outermost
-  /// Glb/Wrg loops. The pragmas are ignored when the source is
-  /// compiled without -fopenmp, so disabling this only pins the
-  /// golden-source tests of the sequential shape.
+  /// Glb/Wrg loops and `#pragma omp simd` on Stmt::Simd loops whose
+  /// body only stores to buffers it never loads. The pragmas are
+  /// ignored when the source is compiled without -fopenmp, so
+  /// disabling this only pins the golden-source tests of the
+  /// sequential shape.
   bool OpenMP = true;
   /// Instrument profile regions with timers and extend the ABI with a
   /// `double *lift_prof` accumulator array (see file comment). Forces
@@ -89,13 +101,19 @@ struct CEmitOptions {
 /// except that when a spine of singleton Glb/Wrg loops (the NDRange
 /// grid) ends in a body with several sub-loops (local-tile fill,
 /// compute/reduce loops), each of those sub-loops becomes its own
-/// region — the shape tiled+local-memory lowerings produce.
+/// region — the shape tiled+local-memory lowerings produce. The three
+/// loops of a split innermost loop (edge, interior, edge; see
+/// analysis/InteriorSpec.h) count as one loop, so a kernel and its
+/// interior-specialized form have the same region list.
 struct KernelRegion {
   /// Deterministic name: "<kind>.<loop var>", e.g. "glb.i0", "lcl.i4"
   /// (deduplicated with numeric suffixes if loop-var names repeat).
   std::string Name;
   std::string Kind; ///< loopKindName of the region root
-  const ocl::Stmt *Loop = nullptr; ///< the loop the timer wraps
+  const ocl::Stmt *Loop = nullptr; ///< the (first) loop the timer wraps
+  /// Every loop the timer wraps, consecutive siblings starting at Loop:
+  /// one nest, or the three loops of a split innermost loop.
+  std::vector<const ocl::Stmt *> Loops;
 };
 
 /// The profile regions of \p K, in the order their timers index

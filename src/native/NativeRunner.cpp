@@ -6,6 +6,7 @@
 
 #include "native/NativeRunner.h"
 
+#include "analysis/InteriorSpec.h"
 #include "obs/Clock.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -149,6 +150,20 @@ int invokeCompiler(const std::string &Compiler, const std::string &Src,
   return runCommand(Cmd, Diag);
 }
 
+/// Loads the OpenMP runtime once per process and pins it. Kernels are
+/// dlopen()ed RTLD_LOCAL and pull libgomp in as a dependency; without
+/// a pin, dlclose() of the last kernel that uses it unmaps the runtime
+/// while its thread pool is still parked inside it, and the pool
+/// threads crash. RTLD_NODELETE keeps this one mapping (not every
+/// kernel's) alive for the life of the process. A missing runtime is
+/// not an error: the sequential retry in compileCSource needs none.
+void pinOpenMPRuntime() {
+  static std::once_flag Once;
+  std::call_once(Once, [] {
+    ::dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL | RTLD_NODELETE);
+  });
+}
+
 /// Recovers the entry name from emitted source: the emitter may have
 /// renamed the kernel on collision with a reserved word, so the
 /// signature line is the source of truth.
@@ -252,6 +267,8 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
                                  "):\n" + Diag,
                              Diag, Source);
 
+  if (O.OpenMP)
+    pinOpenMPRuntime();
   void *Handle = ::dlopen(Obj.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
     const char *E = ::dlerror();
@@ -261,12 +278,12 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   ::dlerror();
   void *Sym = ::dlsym(Handle, EntryName.c_str());
   if (!Sym) {
+    // Copy the message first: dlclose() frees dlerror()'s buffer.
     const char *E = ::dlerror();
+    std::string Why = E ? std::string(" (") + E + ")" : std::string();
     ::dlclose(Handle);
-    throw SymbolNotFoundError(
-        "native backend: entry symbol '" + EntryName +
-        "' not found in compiled kernel" +
-        (E ? std::string(" (") + E + ")" : std::string()));
+    throw SymbolNotFoundError("native backend: entry symbol '" + EntryName +
+                              "' not found in compiled kernel" + Why);
   }
   obs::Registry::global().counter("native.compiles").inc();
   // The signature line tells the ABI apart: profile-mode sources take
@@ -276,12 +293,31 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   return std::make_shared<NativeKernel>(Handle, Sym, Profiled, Source);
 }
 
-NativeKernelPtr lift::native::compileKernel(const ocl::Kernel &K,
-                                            const NativeOptions &O) {
+ocl::Kernel lift::native::specializeForNative(const ocl::Kernel &K,
+                                              analysis::SpecStats *Stats) {
+  obs::Span S("native.specialize", "native");
+  return analysis::specializeInterior(K, Stats);
+}
+
+namespace {
+
+CEmitOptions emitOptions(const NativeOptions &O) {
   CEmitOptions EO;
   EO.OpenMP = O.EmitOpenMP;
   EO.Profile = O.Profile;
-  std::string Source = emitC(K, EO);
+  return EO;
+}
+
+} // namespace
+
+std::string lift::native::emitNativeC(const ocl::Kernel &K,
+                                      const NativeOptions &O) {
+  return emitC(specializeForNative(K), emitOptions(O));
+}
+
+NativeKernelPtr lift::native::compileKernel(const ocl::Kernel &K,
+                                            const NativeOptions &O) {
+  std::string Source = emitNativeC(K, O);
   return compileCSource(Source, entryNameFromSource(Source), O);
 }
 
@@ -293,13 +329,23 @@ struct KernelCache::Entry {
   std::mutex M;
   std::condition_variable CV;
   bool Ready = false;
-  std::string Source; ///< key part: resolves hash collisions
+  std::string Source; ///< first level: resolves lowered-hash collisions
   NativeKernelPtr Kernel;
   std::string Error; ///< non-empty: cached compile failure
 
   void wait() {
     std::unique_lock<std::mutex> Lock(M);
     CV.wait(Lock, [this] { return Ready; });
+  }
+
+  void publish(NativeKernelPtr K, std::string Err) {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Kernel = std::move(K);
+      Error = std::move(Err);
+      Ready = true;
+    }
+    CV.notify_all();
   }
 };
 
@@ -308,13 +354,40 @@ KernelCache &KernelCache::global() {
   return *C;
 }
 
+void KernelCache::compileSpecialized(const ocl::Kernel &K,
+                                     const NativeOptions &O, Entry &Out) {
+  std::string Source = emitNativeC(K, O);
+  std::shared_ptr<Entry> E;
+  bool Owner = false;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    std::shared_ptr<Entry> &Slot = BySource[Source];
+    if (!Slot) {
+      Slot = std::make_shared<Entry>();
+      Owner = true;
+    }
+    E = Slot;
+  }
+  if (Owner) {
+    NativeKernelPtr Kern;
+    std::string Err;
+    try {
+      Kern = compileCSource(Source, entryNameFromSource(Source), O);
+    } catch (const NativeError &Ex) {
+      Err = Ex.what();
+    }
+    E->publish(std::move(Kern), std::move(Err));
+  } else {
+    obs::Registry::global().counter("native.cache.source_hits").inc();
+    E->wait();
+  }
+  Out.publish(E->Kernel, E->Error);
+}
+
 NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
                                           const ocl::Kernel &K,
                                           const NativeOptions &O) {
-  CEmitOptions EO;
-  EO.OpenMP = O.EmitOpenMP;
-  EO.Profile = O.Profile;
-  std::string Source = emitC(K, EO);
+  std::string Source = emitC(K, emitOptions(O));
 
   std::shared_ptr<Entry> E;
   bool Owner = false;
@@ -340,24 +413,10 @@ NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
       .counter(Owner ? "native.cache.misses" : "native.cache.hits")
       .inc();
 
-  if (Owner) {
-    NativeKernelPtr Kern;
-    std::string Err;
-    try {
-      Kern = compileCSource(Source, entryNameFromSource(Source), O);
-    } catch (const NativeError &Ex) {
-      Err = Ex.what();
-    }
-    {
-      std::lock_guard<std::mutex> Lock(E->M);
-      E->Kernel = Kern;
-      E->Error = Err;
-      E->Ready = true;
-    }
-    E->CV.notify_all();
-  } else {
+  if (Owner)
+    compileSpecialized(K, O, *E);
+  else
     E->wait();
-  }
   if (!E->Kernel)
     throw NativeError(E->Error.empty()
                           ? std::string("native backend: cached compile "
@@ -379,6 +438,7 @@ std::uint64_t KernelCache::misses() const {
 void KernelCache::clear() {
   std::lock_guard<std::mutex> Lock(M);
   Map.clear();
+  BySource.clear();
   Hits = Misses = 0;
 }
 

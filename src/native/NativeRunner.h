@@ -6,7 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The native execution backend: takes a compiled kernel AST, emits C
+/// The native execution backend: takes a compiled kernel AST, splits
+/// its innermost grid loops into edge loops and a clamp-free,
+/// vectorizable interior (specializeForNative), emits C
 /// (native/CEmitter.h), invokes the host C compiler on it in a private
 /// temp directory, dlopen()s the resulting shared object and runs the
 /// entry point with the same buffer/size conventions as the simulator
@@ -32,6 +34,7 @@
 #ifndef LIFT_NATIVE_NATIVERUNNER_H
 #define LIFT_NATIVE_NATIVERUNNER_H
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/CodeGen.h"
 #include "native/CEmitter.h"
 #include "ocl/Sim.h"
@@ -160,8 +163,20 @@ NativeKernelPtr compileCSource(const std::string &Source,
                                const std::string &EntryName,
                                const NativeOptions &O = {});
 
-/// Emits C for \p K and compiles it. The entry name is the kernel name
-/// (sanitized by the emitter).
+/// The kernel AST the native backend compiles for \p K: the innermost
+/// grid loop of every eligible loop nest split into edge loops and a
+/// clamp-free, vectorizable interior (analysis/InteriorSpec.h). Kernels
+/// the split does not apply to (tiled local-memory kernels) come back
+/// unchanged. Idempotent.
+ocl::Kernel specializeForNative(const ocl::Kernel &K,
+                                analysis::SpecStats *Stats = nullptr);
+
+/// The C source the native backend compiles for \p K:
+/// emitC(specializeForNative(K)) under \p O's emission options.
+std::string emitNativeC(const ocl::Kernel &K, const NativeOptions &O = {});
+
+/// Compiles emitNativeC(\p K, \p O), uncached. The entry name is the
+/// kernel name (sanitized by the emitter).
 NativeKernelPtr compileKernel(const ocl::Kernel &K,
                               const NativeOptions &O = {});
 
@@ -169,38 +184,55 @@ NativeKernelPtr compileKernel(const ocl::Kernel &K,
 // Compiled-kernel cache
 //===----------------------------------------------------------------------===//
 
-/// Process-wide cache of compiled kernels, keyed on the *lowered*
-/// program's structural hash (ir/StructuralHash.h). Alpha-equivalent
-/// lowerings have identical positional ABIs (buffer and size-arg
-/// order is structural), so a cached binary is safe to share across
-/// candidates — the property the tuner exploits to compile each
-/// distinct lowering once per sweep. Hash collisions are resolved by
-/// comparing the emitted source, so a collision costs a second
-/// compile, never a wrong binary.
+/// Process-wide cache of compiled kernels, in two levels.
 ///
-/// Thread-safe with in-flight deduplication (first caller compiles,
-/// concurrent callers wait). Compile failures are cached and rethrown
-/// so a broken toolchain fails fast instead of re-invoking cc per
-/// candidate. Hit/miss totals feed the "native.cache.*" metrics.
+/// The first level is keyed on the *lowered* program's structural hash
+/// (ir/StructuralHash.h) plus the emitted source of the kernel as
+/// given. Alpha-equivalent lowerings have identical positional ABIs
+/// (buffer and size-arg order is structural), so a cached binary is
+/// safe to share across candidates — the property the tuner exploits
+/// to compile each distinct lowering once per sweep. Hash collisions
+/// are resolved by comparing the emitted source, so a collision costs a
+/// second compile, never a wrong binary. A hit returns at once: it
+/// never re-runs specialization.
+///
+/// On a first-level miss the kernel is specialized (emitNativeC) and
+/// looked up in the second level, keyed on that final C source. Kernels
+/// that specialize to identical source — a kernel and its already
+/// specialized form, say — therefore compile once.
+///
+/// Thread-safe with in-flight deduplication at both levels (first
+/// caller compiles, concurrent callers wait). Compile failures are
+/// cached and rethrown so a broken toolchain fails fast instead of
+/// re-invoking cc per candidate. First-level hit/miss totals feed the
+/// "native.cache.*" metrics; second-level hits count as
+/// "native.cache.source_hits".
 class KernelCache {
 public:
   static KernelCache &global();
 
   /// Returns the cached kernel for (\p LoweredHash, emitted source of
-  /// \p K), compiling on first use. Throws NativeError on (possibly
-  /// cached) compile failure.
+  /// \p K), compiling emitNativeC(\p K, \p O) on first use. Throws
+  /// NativeError on (possibly cached) compile failure.
   NativeKernelPtr getOrCompile(std::uint64_t LoweredHash,
                                const ocl::Kernel &K,
                                const NativeOptions &O = {});
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
+  /// Empties both levels (the next request of any kernel compiles).
   void clear();
 
 private:
   struct Entry;
+  /// First-level miss: specializes \p K, resolves the second level and
+  /// publishes its kernel (or error) into \p Out.
+  void compileSpecialized(const ocl::Kernel &K, const NativeOptions &O,
+                          Entry &Out);
+
   mutable std::mutex M;
   std::unordered_multimap<std::uint64_t, std::shared_ptr<Entry>> Map;
+  std::unordered_map<std::string, std::shared_ptr<Entry>> BySource;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
 };

@@ -18,12 +18,24 @@ ProfiledKernelRun lift::native::profileKernel(
     const MachinePeaks *Peaks) {
   NativeOptions PO = O;
   PO.Profile = true;
-  // Separate cache identity for the instrumented binary (the same
-  // XOR-a-constant convention the interior-specialized kernels use).
+  // Separate cache identity for the instrumented binary.
   NativeKernelPtr Kern = KernelCache::global().getOrCompile(
       LoweredHash ^ 0x9E3779B97F4A7C15ULL, C.K, PO);
 
+  // The binary runs the interior-specialized form of C.K, whose region
+  // list is C.K's (profileRegions groups a split loop); check that the
+  // emitted timers index exactly that many slots before running it.
   std::vector<KernelRegion> Regions = profileRegions(C.K);
+  const std::string &Src = Kern->source();
+  std::size_t Timers = 0;
+  for (std::size_t At = Src.find("] += lift_prof_now()");
+       At != std::string::npos;
+       At = Src.find("] += lift_prof_now()", At + 1))
+    ++Timers;
+  if (Timers != Regions.size())
+    throw NativeError("native backend: profiled kernel times " +
+                      std::to_string(Timers) + " regions, expected " +
+                      std::to_string(Regions.size()));
   NativeProfiledResult Run = runNativeProfiled(
       C, *Kern, Inputs, Sizes, Regions.size(), Warmup, Repeats);
 
@@ -36,8 +48,14 @@ ProfiledKernelRun lift::native::profileKernel(
     Out.P.PeakGFlopsPerSec = Peaks->GFlopsPerSec;
   }
   for (std::size_t I = 0; I != Regions.size(); ++I) {
-    codegen::RegionWork W =
-        codegen::staticRegionWork(C.K, *Regions[I].Loop, Sizes);
+    codegen::RegionWork W;
+    for (const ocl::Stmt *L : Regions[I].Loops) {
+      codegen::RegionWork LW = codegen::staticRegionWork(C.K, *L, Sizes);
+      W.Iterations += LW.Iterations;
+      W.BytesRead += LW.BytesRead;
+      W.BytesWritten += LW.BytesWritten;
+      W.Flops += LW.Flops;
+    }
     obs::ProfileRegion R;
     R.Name = Regions[I].Name;
     R.Kind = Regions[I].Kind;

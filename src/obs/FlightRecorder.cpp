@@ -68,13 +68,19 @@ std::string FlightRecorder::summary() const {
     double WallUs = 0;
     std::map<std::string, std::uint64_t> Prunes;
     const CandidateRecord *Best = nullptr;
+    // The tuner's own argmin: measured sweeps rank by wall clock,
+    // modeled ones by the prediction; the first strictly smaller score
+    // in candidate order wins.
+    auto Score = [](const CandidateRecord &R) {
+      return R.Objective == "measured" ? R.MeasuredTime : R.PredictedTime;
+    };
     for (const CandidateRecord &R : L.Records) {
       WallUs += R.WallMicros;
       if (R.Valid) {
         ++Valid;
         if (R.FromMemo)
           ++Memo;
-        if (!Best || R.PredictedTime < Best->PredictedTime)
+        if (!Best || Score(R) < Score(*Best))
           Best = &R;
       } else if (!R.PruneReason.empty()) {
         ++Prunes[R.PruneReason];

@@ -106,7 +106,8 @@ StmtPtr lift::ocl::sAssign(int VarId, KExprPtr Value) {
 }
 
 StmtPtr lift::ocl::sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
-                         std::vector<StmtPtr> Body, bool Unroll) {
+                         std::vector<StmtPtr> Body, bool Unroll,
+                         bool Simd) {
   assert(LoopVar->getKind() == ArithExpr::Kind::Var &&
          "loop variable must be an ArithExpr variable");
   auto S = std::make_shared<Stmt>();
@@ -117,6 +118,7 @@ StmtPtr lift::ocl::sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
   S->Count = std::move(Count);
   S->Body = std::move(Body);
   S->Unroll = Unroll;
+  S->Simd = Simd;
   return S;
 }
 

@@ -133,13 +133,17 @@ public:
   AExpr LoopVar;          ///< the ArithExpr Var bound per iteration
   AExpr Count;            ///< iteration count (loop runs 0..Count-1)
   bool Unroll = false;    ///< unrolled by the emitter (reduceSeqUnroll)
+  /// Clamp-free interior of a split grid loop (analysis/InteriorSpec.h):
+  /// the C emitter may mark it `#pragma omp simd`.
+  bool Simd = false;
   std::vector<StmtPtr> Body;
 };
 
 StmtPtr sStore(int BufferId, AExpr Index, KExprPtr Value);
 StmtPtr sAssign(int VarId, KExprPtr Value);
 StmtPtr sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
-              std::vector<StmtPtr> Body, bool Unroll = false);
+              std::vector<StmtPtr> Body, bool Unroll = false,
+              bool Simd = false);
 StmtPtr sBarrier();
 
 /// A complete kernel: declarations plus a statement list. The NDRange

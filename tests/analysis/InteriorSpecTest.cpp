@@ -8,10 +8,14 @@
 
 #include "analysis/RangeAnalysis.h"
 #include "codegen/Runner.h"
+#include "native/CEmitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 using namespace lift;
 using namespace lift::analysis;
@@ -53,20 +57,158 @@ void expectBitIdentical(const stencil::Benchmark &B,
         << " (split " << S.LoopsSplit << " loops)";
 }
 
+/// The grid loops with no grid loop nested inside, in program order.
+std::vector<const ocl::Stmt *> innermostGridLoops(const ocl::Kernel &K) {
+  std::vector<const ocl::Stmt *> Out;
+  std::function<bool(const ocl::Stmt &)> Walk = [&](const ocl::Stmt &S) {
+    if (S.K != ocl::Stmt::Kind::Loop)
+      return false;
+    bool Nested = false;
+    for (const ocl::StmtPtr &C : S.Body)
+      Nested |= Walk(*C);
+    bool Grid = S.LK == ocl::LoopKind::Glb;
+    if (Grid && !Nested)
+      Out.push_back(&S);
+    return Grid || Nested;
+  };
+  for (const ocl::StmtPtr &S : K.Body)
+    Walk(*S);
+  return Out;
+}
+
+/// True when \p E holds a min/max/mod node over variable \p Id.
+bool hasBoundaryOpOn(const AExpr &E, unsigned Id) {
+  if (!E)
+    return false;
+  ArithExpr::Kind Kd = E->getKind();
+  if (Kd == ArithExpr::Kind::Min || Kd == ArithExpr::Kind::Max ||
+      Kd == ArithExpr::Kind::Mod) {
+    std::vector<unsigned> Vars;
+    collectVars(E, Vars);
+    for (unsigned V : Vars)
+      if (V == Id)
+        return true;
+  }
+  for (const AExpr &Op : E->getOperands())
+    if (hasBoundaryOpOn(Op, Id))
+      return true;
+  return false;
+}
+
+/// True when no index, count or pad guard under \p Loop carries
+/// boundary arithmetic on the loop's own variable.
+bool clampFree(const ocl::Stmt &Loop) {
+  unsigned Id = Loop.LoopVar->getVarId();
+  auto Mentions = [&](const AExpr &E) {
+    std::vector<unsigned> Vars;
+    if (E)
+      collectVars(E, Vars);
+    return std::find(Vars.begin(), Vars.end(), Id) != Vars.end();
+  };
+  std::function<bool(const ocl::KExprPtr &)> Expr =
+      [&](const ocl::KExprPtr &E) {
+        if (!E)
+          return true;
+        if (hasBoundaryOpOn(E->Index, Id))
+          return false;
+        for (const ocl::BoundsCheck &B : E->Checks)
+          if (Mentions(B.Idx) || Mentions(B.Lo) || Mentions(B.Hi))
+            return false;
+        for (const ocl::KExprPtr &A : E->Args)
+          if (!Expr(A))
+            return false;
+        return Expr(E->Then) && Expr(E->Else);
+      };
+  std::function<bool(const ocl::Stmt &)> Stmt = [&](const ocl::Stmt &S) {
+    if (hasBoundaryOpOn(S.Index, Id) || hasBoundaryOpOn(S.Count, Id) ||
+        !Expr(S.Value))
+      return false;
+    for (const ocl::StmtPtr &C : S.Body)
+      if (!Stmt(*C))
+        return false;
+    return true;
+  };
+  for (const ocl::StmtPtr &S : Loop.Body)
+    if (!Stmt(*S))
+      return false;
+  return true;
+}
+
 TEST(InteriorSpec, SplitsEveryUntiledBenchmarkGridLoop) {
   // Every untiled benchmark lowering is a pure global-memory loop nest,
-  // so each grid dimension must split and every constant-pad Select /
-  // clamp chain in the interior must dissolve.
+  // so the innermost grid loop of each nest must split, and its
+  // interior must be clamp-free — every constant-pad Select / clamp
+  // chain on its variable dissolved — and marked Simd. Outer grid
+  // loops stay whole.
   for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
     Lowered L = lower(B);
     SpecStats S;
     ocl::Kernel K = specializeInterior(L.C.K, &S);
-    EXPECT_GE(S.LoopsSplit, B.Dims) << B.Name;
+    std::size_t Inner = innermostGridLoops(L.C.K).size();
+    ASSERT_GE(Inner, 1u) << B.Name;
+    EXPECT_EQ(S.LoopsSplit, Inner) << B.Name;
+    std::vector<const ocl::Stmt *> After = innermostGridLoops(K);
+    EXPECT_EQ(After.size(), 3 * Inner) << B.Name;
+    std::size_t Interiors = 0;
+    for (const ocl::Stmt *Loop : After) {
+      if (!Loop->Simd)
+        continue;
+      ++Interiors;
+      EXPECT_TRUE(clampFree(*Loop))
+          << B.Name << ": interior " << Loop->LoopVar->getVarName();
+    }
+    EXPECT_EQ(Interiors, Inner) << B.Name;
     // Any registers used under split loops get fresh interior/right
     // clones (register-free kernels have nothing to duplicate).
     if (!L.C.K.Registers.empty())
       EXPECT_GT(K.Registers.size(), L.C.K.Registers.size()) << B.Name;
   }
+}
+
+/// iterate(Steps, step) over \p B's one-step program: the multi-phase
+/// kernel shape, one loop nest per time step.
+Lowered lowerIterated(const stencil::Benchmark &B, int Steps) {
+  Lowered L{B.Build(), {}};
+  const ir::ParamPtr &A = L.I.P->getParams().front();
+  ir::ExprPtr StepBody = L.I.P->getBody();
+  ir::LambdaPtr Step = ir::lam("xs", [&](ir::ExprPtr Xs) {
+    return ir::substituteParams(StepBody, {{A.get(), Xs}});
+  });
+  ir::ParamPtr In = ir::param("A", A->getDeclaredType());
+  L.I.P = ir::makeProgram({In}, ir::iterate(Steps, Step, In));
+  std::string Why;
+  ir::Program Low = rewrite::lowerStencil(L.I.P, {}, &Why);
+  EXPECT_NE(Low, nullptr) << B.Name << ": " << Why;
+  L.C = codegen::compileProgram(Low, B.Name);
+  return L;
+}
+
+TEST(InteriorSpec, SecondPassIsIdentity) {
+  // The native backend specializes every kernel it compiles, including
+  // kernels a caller already specialized: a second pass must split
+  // nothing and emit byte-identical C.
+  std::vector<Lowered> Kernels;
+  for (const stencil::Benchmark &B : stencil::allBenchmarks())
+    Kernels.push_back(lower(B));
+  Kernels.push_back(
+      lowerIterated(stencil::findBenchmark("Jacobi2D5pt"), 8));
+  for (const Lowered &L : Kernels) {
+    SpecStats First, Second;
+    ocl::Kernel Once = specializeInterior(L.C.K, &First);
+    ocl::Kernel Twice = specializeInterior(Once, &Second);
+    EXPECT_GT(First.LoopsSplit, 0u) << L.C.K.Name;
+    EXPECT_EQ(Second.LoopsSplit, 0u) << L.C.K.Name;
+    EXPECT_EQ(Second.SelectsResolved, 0u) << L.C.K.Name;
+    EXPECT_EQ(native::emitC(Twice), native::emitC(Once)) << L.C.K.Name;
+  }
+}
+
+TEST(InteriorSpec, IteratedKernelSplitsOneLoopPerPhase) {
+  Lowered L = lowerIterated(stencil::findBenchmark("Jacobi2D5pt"), 8);
+  SpecStats S;
+  specializeInterior(L.C.K, &S);
+  EXPECT_EQ(S.LoopsSplit, innermostGridLoops(L.C.K).size());
+  EXPECT_GE(S.LoopsSplit, 8u);
 }
 
 TEST(InteriorSpec, BitIdenticalOnProxyGrids) {

@@ -102,6 +102,74 @@ TEST(CEmitter, NestedGlbLoopGetsNoPragma) {
   EXPECT_EQ(Src.find("#pragma omp", First + 1), std::string::npos);
 }
 
+/// Glb(i) { Glb(j, Simd) { out[i*n + j] = buf[j] } }, buf being in0 or
+/// (\p LoadOut) out itself: a split interior loop nested in its outer
+/// grid loop.
+Kernel simdInteriorKernel(bool LoadOut) {
+  Kernel K;
+  AExpr N = var("n", Range(1, 1 << 30));
+  K.Name = "interior";
+  K.Buffers.push_back({0, "in0", ir::ScalarKind::Float, MemSpace::Global,
+                       mul(N, N), true, false});
+  K.Buffers.push_back({1, "out", ir::ScalarKind::Float, MemSpace::Global,
+                       mul(N, N), false, true});
+  K.SizeArgs.push_back({N->getVarId(), "n"});
+  AExpr I = var("i"), J = var("j");
+  K.Body.push_back(sLoop(
+      LoopKind::Glb, 0, I, N,
+      {sLoop(LoopKind::Glb, 1, J, N,
+             {sStore(1, add(mul(I, N), J), kLoad(LoadOut ? 1 : 0, J))},
+             /*Unroll=*/false, /*Simd=*/true)}));
+  return K;
+}
+
+TEST(CEmitter, SimdInteriorOfPureStoreStreamGetsOmpSimd) {
+  Kernel K = simdInteriorKernel(/*LoadOut=*/false);
+  std::string Src = emitDefault(K);
+  std::size_t Par = Src.find("#pragma omp parallel for schedule");
+  ASSERT_NE(Par, std::string::npos) << Src;
+  std::size_t Simd = Src.find("#pragma omp simd\n");
+  ASSERT_NE(Simd, std::string::npos) << Src;
+  EXPECT_LT(Par, Simd);
+  EXPECT_NE(Src.find("for (long long j = 0;", Simd), std::string::npos);
+
+  native::CEmitOptions Seq;
+  Seq.OpenMP = false;
+  EXPECT_EQ(native::emitC(K, Seq).find("#pragma omp"), std::string::npos);
+}
+
+TEST(CEmitter, SimdInteriorLoadingItsStoreBufferGetsNoOmpSimd) {
+  // out[i*n + j] = out[j]: a lane could read what another lane wrote,
+  // so the loop stays scalar.
+  Kernel K = simdInteriorKernel(/*LoadOut=*/true);
+  std::string Src = emitDefault(K);
+  EXPECT_NE(Src.find("#pragma omp parallel for"), std::string::npos);
+  EXPECT_EQ(Src.find("simd"), std::string::npos) << Src;
+}
+
+TEST(CEmitter, TopLevelSimdInteriorGetsParallelForSimd) {
+  Kernel K = simpleGlbKernel();
+  const Stmt &L = *K.Body[0];
+  K.Body[0] = sLoop(L.LK, L.Dim, L.LoopVar, L.Count, L.Body, L.Unroll,
+                    /*Simd=*/true);
+  std::string Src = emitDefault(K);
+  EXPECT_NE(Src.find("#pragma omp parallel for simd schedule(static)"),
+            std::string::npos)
+      << Src;
+}
+
+TEST(CEmitter, UserFunctionsAreForceInlined) {
+  const stencil::Benchmark &B = stencil::findBenchmark("Jacobi2D5pt");
+  stencil::BenchmarkInstance I = B.Build();
+  ir::Program Low = rewrite::lowerStencil(I.P, {});
+  ASSERT_TRUE(bool(Low));
+  std::string Src = emitDefault(codegen::compileProgram(Low, B.Name).K);
+  EXPECT_NE(Src.find("static inline __attribute__((always_inline)) float "
+                     "Jacobi2D5pt_f("),
+            std::string::npos)
+      << Src;
+}
+
 TEST(CEmitter, RegisterSharedAcrossRootsForcesSequentialFallback) {
   // An accumulator register written under two different parallel
   // roots cannot be privatized into either; the emitter must fall

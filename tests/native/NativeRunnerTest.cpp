@@ -19,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace lift;
@@ -170,6 +172,115 @@ TEST(NativeRunner, CacheReturnsIdenticalKernelOnHit) {
   EXPECT_EQ(K3.get(), K1.get());
   EXPECT_EQ(C.hits(), 2u);
   C.clear();
+}
+
+TEST(NativeRunner, CacheSharesBinaryAcrossKernelsWithEqualFinalSource) {
+  REQUIRE_TOOLCHAIN();
+  // The backend specializes on a first-level miss, so a kernel and its
+  // already-specialized form (a different first-level key) end in the
+  // same final C and share one binary through the second level.
+  Built B = buildBench("Jacobi2D5pt", /*Tiled=*/false);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  NativeKernelPtr Generic = C.getOrCompile(B.LowHash, B.C.K);
+  ocl::Kernel Spec = specializeForNative(B.C.K);
+  NativeKernelPtr Pre = C.getOrCompile(B.LowHash ^ 1, Spec);
+  EXPECT_EQ(Generic.get(), Pre.get());
+  EXPECT_EQ(C.misses(), 2u);
+  EXPECT_EQ(Generic->source(), emitNativeC(B.C.K));
+  EXPECT_EQ(Generic->source(), emitC(Spec));
+
+  // clear() empties both levels: the same kernel compiles afresh.
+  C.clear();
+  NativeKernelPtr Again = C.getOrCompile(B.LowHash ^ 1, Spec);
+  EXPECT_NE(Again.get(), Generic.get());
+  C.clear();
+}
+
+TEST(NativeRunner, ConcurrentRequestsShareOneCompileAcrossLevels) {
+  REQUIRE_TOOLCHAIN();
+  // Two first-level keys, two threads each, one final source: every
+  // request must get the one binary, whichever thread compiles it.
+  Built B = buildBench("Jacobi2D5pt", /*Tiled=*/false);
+  ocl::Kernel Spec = specializeForNative(B.C.K);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  std::vector<NativeKernelPtr> Got(4);
+  std::vector<std::thread> Threads;
+  for (std::size_t T = 0; T != Got.size(); ++T)
+    Threads.emplace_back([&, T] {
+      Got[T] = T % 2 ? C.getOrCompile(B.LowHash ^ 1, Spec)
+                     : C.getOrCompile(B.LowHash, B.C.K);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const NativeKernelPtr &K : Got)
+    EXPECT_EQ(K.get(), Got[0].get());
+  EXPECT_EQ(C.misses(), 2u);
+  EXPECT_EQ(C.hits(), 2u);
+  C.clear();
+}
+
+TEST(NativeRunner, SpecializedKernelsKeepTheirProfileRegions) {
+  // The profiler reads regions off the kernel it was given while the
+  // binary runs its specialized form; the two lists must agree.
+  for (const Benchmark &Bench : allBenchmarks()) {
+    BenchmarkInstance I = Bench.Build();
+    ir::Program Low = rewrite::lowerStencil(I.P, {});
+    ASSERT_TRUE(bool(Low)) << Bench.Name;
+    codegen::Compiled C = codegen::compileProgram(Low, Bench.Name);
+    ocl::Kernel Spec = specializeForNative(C.K);
+    std::vector<KernelRegion> Before = profileRegions(C.K);
+    std::vector<KernelRegion> After = profileRegions(Spec);
+    ASSERT_EQ(After.size(), Before.size()) << Bench.Name;
+    for (std::size_t R = 0; R != Before.size(); ++R)
+      EXPECT_EQ(After[R].Name, Before[R].Name) << Bench.Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// OpenMP runtime lifetime
+//===----------------------------------------------------------------------===//
+
+/// Compiles a distinct multi-threaded kernel per index, runs it on
+/// four threads and drops it (dlclose), \p N times over.
+void loadAndUnloadOpenMPKernels(int N) {
+  for (int K = 0; K != N; ++K) {
+    std::string Name = "omp_cycle_" + std::to_string(K);
+    std::string Src =
+        "void " + Name +
+        "(void **bufs, const long long *sizes, int threads) {\n"
+        "  float *out = (float *)bufs[0];\n"
+        "  #pragma omp parallel for num_threads(threads)\n"
+        "  for (long long i = 0; i < sizes[0]; ++i)\n"
+        "    out[i] = (float)i * " +
+        std::to_string(K + 1) + ".0f;\n}\n";
+    std::vector<float> Out(4096);
+    void *Bufs[1] = {Out.data()};
+    long long Sizes[1] = {(long long)Out.size()};
+    NativeKernelPtr Kern = compileCSource(Src, Name);
+    Kern->entry()(Bufs, Sizes, 4);
+    if (Out[4095] != 4095.0f * float(K + 1))
+      std::exit(2);
+  }
+  // Give parked pool threads time to wake into whatever is mapped.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+}
+
+TEST(NativeRunnerDeathTest, UnloadingOpenMPKernelsKeepsTheRuntimeMapped) {
+  REQUIRE_TOOLCHAIN();
+  // Kernels are dlopen()ed RTLD_LOCAL and bring the OpenMP runtime in
+  // as a dependency; unloading the last one used to unmap it under its
+  // parked pool threads and crash the process. The threadsafe death
+  // test style re-executes the binary, so the check runs in a fresh
+  // process that has not loaded the runtime yet.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        loadAndUnloadOpenMPKernels(4);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 //===----------------------------------------------------------------------===//

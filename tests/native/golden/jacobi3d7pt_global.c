@@ -26,7 +26,7 @@ static inline long long lift_max(long long a, long long b) {
   return a > b ? a : b;
 }
 
-static float Jacobi3D7pt_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6) { return 0.142857149f * a0 + 0.142857149f * a1 + 0.142857149f * a2 + 0.142857149f * a3 + 0.142857149f * a4 + 0.142857149f * a5 + 0.142857149f * a6; }
+static inline __attribute__((always_inline)) float Jacobi3D7pt_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6) { return 0.142857149f * a0 + 0.142857149f * a1 + 0.142857149f * a2 + 0.142857149f * a3 + 0.142857149f * a4 + 0.142857149f * a5 + 0.142857149f * a6; }
 
 void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
   float *restrict in0 = (float *)lift_bufs[0];

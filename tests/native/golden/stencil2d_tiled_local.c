@@ -26,8 +26,8 @@ static inline long long lift_max(long long a, long long b) {
   return a > b ? a : b;
 }
 
-static float idF(float x) { return x; }
-static float Stencil2D_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6, float a7, float a8) { return 0.0199999996f * a0 + 0.0799999982f * a1 + 0.0199999996f * a2 + 0.0799999982f * a3 + 0.600000024f * a4 + 0.0799999982f * a5 + 0.0199999996f * a6 + 0.0799999982f * a7 + 0.0199999996f * a8; }
+static inline __attribute__((always_inline)) float idF(float x) { return x; }
+static inline __attribute__((always_inline)) float Stencil2D_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6, float a7, float a8) { return 0.0199999996f * a0 + 0.0799999982f * a1 + 0.0199999996f * a2 + 0.0799999982f * a3 + 0.600000024f * a4 + 0.0799999982f * a5 + 0.0199999996f * a6 + 0.0799999982f * a7 + 0.0199999996f * a8; }
 
 void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
   float *restrict in0 = (float *)lift_bufs[0];

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "native/NativeRunner.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
@@ -242,6 +243,74 @@ TEST(ObsPipeline, TraceOfParallelTuneNestsCandidatesInSweep) {
     EXPECT_LE(CS.second, TuneEnd);
   }
   T.clear();
+}
+
+//===----------------------------------------------------------------------===//
+// --obs-report winner
+//===----------------------------------------------------------------------===//
+
+/// The "  best: <variant> (" line of a FlightRecorder summary.
+std::string summaryWinner(const std::string &Summary) {
+  std::size_t At = Summary.find("  best: ");
+  if (At == std::string::npos)
+    return "";
+  At += 8;
+  return Summary.substr(At, Summary.find(" (", At) - At);
+}
+
+TEST(ObsPipeline, SummaryRanksMeasuredSweepsByMeasuredTime) {
+  FlightRecorder &FR = FlightRecorder::global();
+  FR.clear();
+  auto Rec = [](const char *Variant, double Predicted, double Measured) {
+    CandidateRecord R;
+    R.Variant = Variant;
+    R.Valid = true;
+    R.PredictedTime = Predicted;
+    R.MeasuredTime = Measured;
+    R.Objective = "measured";
+    return R;
+  };
+  // The model prefers "a"; the wall clock prefers "b".
+  FR.beginTune("measured", 3);
+  FR.record(0, Rec("a", 1.0, 5.0));
+  FR.record(1, Rec("b", 2.0, 3.0));
+  FR.record(2, Rec("c", 3.0, 3.0)); // a tie keeps the earlier candidate
+  EXPECT_EQ(summaryWinner(FR.summary()), "b");
+
+  FR.clear();
+  FR.beginTune("modeled", 2);
+  CandidateRecord A = Rec("a", 1.0, 0), B = Rec("b", 2.0, 0);
+  A.Objective = B.Objective = "modeled";
+  FR.record(0, A);
+  FR.record(1, B);
+  EXPECT_EQ(summaryWinner(FR.summary()), "a");
+  FR.clear();
+}
+
+TEST(ObsPipeline, ObsReportNamesTheMeasuredTunersWinner) {
+  try {
+    native::probeToolchain();
+  } catch (const native::NativeError &) {
+    GTEST_SKIP() << "no usable host C compiler";
+  }
+  FlightRecorder &FR = FlightRecorder::global();
+  FR.clear();
+  FR.setEnabled(true);
+  TuningSpace S = liftSpace();
+  S.TileOutputs = {16};
+  S.TileCoarsenFactors = {1};
+  S.CoarsenFactors = {1, 2};
+  S.WorkGroupSizes = {64};
+  TuneOptions O;
+  O.Obj = Objective::Measured;
+  O.MeasureWarmup = 0;
+  O.MeasureRepeats = 1;
+  TuningProblem P = makeProblem(findBenchmark("Jacobi2D5pt"), false);
+  TuneResult R = tuneStencil(P, deviceNvidiaK20c(), S, O);
+  FR.setEnabled(false);
+  ASSERT_GE(R.All.size(), 2u);
+  EXPECT_EQ(summaryWinner(FR.summary()), R.Best.C.describe());
+  FR.clear();
 }
 
 } // namespace

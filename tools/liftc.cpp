@@ -21,7 +21,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/InteriorSpec.h"
 #include "analysis/RangeAnalysis.h"
 #include "codegen/AccessAnalysis.h"
 #include "codegen/Runner.h"
@@ -73,12 +72,13 @@ int usage() {
       "  real; 'run' then reports wall-clock time (--warmup W untimed +\n"
       "  --repeats R timed executions, fastest wins; --jobs = OpenMP\n"
       "  threads), and 'tune' ranks candidates by measured seconds\n"
-      "  instead of the device model\n"
-      "analysis (emit/run): --specialize splits each grid loop into\n"
-"  left-edge / clamp-free-interior / right-edge loops before emitting\n"
-"  or running; --check-bounds statically proves every buffer access\n"
-"  in bounds (prints a violation report and exits 1 otherwise; 'run'\n"
-"  and --extents make the check concrete, plain 'emit' is symbolic)\n"
+      "  instead of the device model. The native backend splits every\n"
+      "  innermost grid loop into edge loops and a clamp-free,\n"
+      "  vectorized interior loop\n"
+      "analysis (emit/run): --check-bounds statically proves every buffer\n"
+      "  access in bounds of the kernel the backend runs (prints a\n"
+      "  violation report and exits 1 otherwise; 'run' and --extents make\n"
+      "  the check concrete, plain 'emit' is symbolic)\n"
       "profiling: 'profile' (or --profile on run/tune with the native\n"
       "  backend) recompiles the kernel with per-region monotonic timers\n"
       "  and reports seconds, bytes, FLOPs, GB/s, GFLOP/s and arithmetic\n"
@@ -103,7 +103,6 @@ struct Args {
   std::string Backend = "sim";
   unsigned Warmup = 1;
   unsigned Repeats = 3;
-  bool Specialize = false;
   bool CheckBounds = false;
   bool Profile = false;
   bool NoPeaks = false;
@@ -173,8 +172,6 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
     } else if (Opt == "--tile-coarsen") {
       if (!NextInt(A.Options.TileCoarsen))
         return false;
-    } else if (Opt == "--specialize") {
-      A.Specialize = true;
     } else if (Opt == "--profile") {
       A.Profile = true;
     } else if (Opt == "--no-peaks") {
@@ -247,25 +244,17 @@ ir::Program lowerOrDie(const Benchmark &B, const BenchmarkInstance &I,
   return Low;
 }
 
-/// Applies --specialize and --check-bounds to a compiled kernel, in
-/// that order (the check sees what will actually run). Returns false —
-/// with the violation report already printed — when the bounds check
-/// cannot discharge every access; \p Sizes null means a fully symbolic
-/// check.
-bool applyAnalysis(const Args &A, Compiled &C,
+/// Applies --check-bounds to a compiled kernel: the kernel the backend
+/// actually runs, i.e. its interior-specialized form under the native
+/// backend and 'profile'. Returns false — with the violation report already printed —
+/// when the check cannot discharge every access; \p Sizes null means a
+/// fully symbolic check.
+bool applyAnalysis(const Args &A, const Compiled &C,
                    const std::unordered_map<unsigned, std::int64_t> *Sizes) {
-  if (A.Specialize) {
-    analysis::SpecStats S;
-    C.K = analysis::specializeInterior(C.K, &S);
-    std::fprintf(stderr,
-                 "specialize: split %u grid loop%s, resolved %u pad "
-                 "select%s\n",
-                 S.LoopsSplit, S.LoopsSplit == 1 ? "" : "s",
-                 S.SelectsResolved, S.SelectsResolved == 1 ? "" : "s");
-  }
   if (A.CheckBounds) {
-    std::vector<analysis::BoundsViolation> V =
-        analysis::checkKernelBounds(C.K, Sizes);
+    bool Native = A.Backend == "native" || A.Command == "profile";
+    std::vector<analysis::BoundsViolation> V = analysis::checkKernelBounds(
+        Native ? native::specializeForNative(C.K) : C.K, Sizes);
     if (!V.empty()) {
       std::fprintf(stderr, "%s", analysis::describeViolations(V).c_str());
       std::fprintf(stderr,
@@ -299,8 +288,6 @@ int profileCompiled(const Args &A, const Benchmark &B,
   try {
     native::probeToolchain();
     std::size_t Hash = ir::structuralHash(Low);
-    if (A.Specialize)
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
     native::MachinePeaks Peaks;
     const native::MachinePeaks *PeaksPtr = nullptr;
     if (!A.NoPeaks) {
@@ -370,11 +357,7 @@ int cmdRunNative(const Args &A, const Benchmark &B,
                  const std::vector<std::vector<float>> &Inputs) {
   native::NativeRunResult R;
   try {
-    // Specialized kernels get a distinct cache identity: same lowered
-    // program, different C source.
     std::size_t Hash = ir::structuralHash(Low);
-    if (A.Specialize)
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
     native::NativeKernelPtr Kern =
         native::KernelCache::global().getOrCompile(Hash, C.K);
     R = native::runNative(C, *Kern, Inputs, makeSizeEnv(I, E), A.Jobs,
@@ -604,7 +587,7 @@ int main(int Argc, char **Argv) {
     if (!applyAnalysis(A, C, Sizes))
       return Done(1);
     if (A.Backend == "native")
-      std::printf("%s", native::emitC(C.K).c_str());
+      std::printf("%s", native::emitNativeC(C.K).c_str());
     else
       std::printf("%s", ocl::emitOpenCL(C.K).c_str());
     return Done(0);

@@ -40,7 +40,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: liftfuzz [--seed S] [--count N] [--jobs J] [--artifact-dir D]\n"
-      "                [--no-shrink] [--no-tiled] [--native] [--specialize]\n"
+      "                [--no-shrink] [--no-tiled] [--native]\n"
       "                [--check-bounds] [--self-test] [--quiet]\n"
       "\n"
       "Runs N seed-derived random stencil programs through the reference\n"
@@ -52,11 +52,9 @@ void usage() {
       "\n"
       "  --native     also compile every lowered kernel to C with the\n"
       "               host compiler, dlopen and run it, and require its\n"
-      "               output to be bit-identical to the interpreter;\n"
+      "               output to be bit-identical to the interpreter (the\n"
+      "               backend compiles every kernel interior-specialized);\n"
       "               mismatch artifacts include the emitted C source\n"
-      "  --specialize run every native kernel through the interior/edge\n"
-      "               specializer first (implies nothing else; combine\n"
-      "               with --native); outputs must stay bit-identical\n"
       "  --check-bounds\n"
       "               statically bounds-check every lowered kernel at the\n"
       "               concrete sizes; unprovable accesses are mismatches\n"
@@ -113,8 +111,6 @@ int main(int Argc, char **Argv) {
       O.Diff.TryTiled = false;
     else if (A == "--native")
       O.Diff.Native = true;
-    else if (A == "--specialize")
-      O.Diff.Specialize = true;
     else if (A == "--check-bounds")
       O.Diff.CheckBounds = true;
     else if (A == "--self-test")
