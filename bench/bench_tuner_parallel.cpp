@@ -3,10 +3,11 @@
 // Part of the liftcpp project.
 //
 // Times the exhaustive Figure-7-style tuning sweep end-to-end at
-// jobs=1 (the legacy sequential tuner: tree-walking simulator, no
-// evaluation memo) against the parallel evaluation engine (compiled
-// simulator + structural-equality evaluation memo + candidate-level
-// threading), and verifies the winner is identical either way.
+// jobs=1 against jobs=N. Both run the same tuner path (compiled
+// simulator + structural-equality evaluation memo); jobs=1 evaluates
+// every candidate on the calling thread, jobs=N on N pool workers, so
+// the speedup is candidate-level threading alone and is bounded by N.
+// Verifies the winner is identical either way.
 //
 // Passing --json [path] emits a compact JSON summary (per-benchmark
 // jobs=1 and jobs=N wall milliseconds plus the speedup) instead of the
@@ -81,7 +82,7 @@ int main(int argc, char **argv) {
     Row R;
     R.Name = Name;
 
-    TuneOptions Seq; // Jobs = 1: legacy sequential tuner
+    TuneOptions Seq; // Jobs = 1: one thread
     TuneOptions Par;
     Par.Jobs = Jobs;
 
@@ -129,8 +130,8 @@ int main(int argc, char **argv) {
       OS << Out;
     }
   } else {
-    std::printf("Exhaustive tuning sweep: legacy sequential (jobs=1) vs "
-                "parallel engine (jobs=%u)\n", Jobs);
+    std::printf("Exhaustive tuning sweep: one thread (jobs=1) vs "
+                "%u pool workers (jobs=%u)\n", Jobs, Jobs);
     printRule(90);
     std::printf("%-14s %10s %12s %12s %9s %10s %12s\n", "Benchmark",
                 "cands", "jobs=1 ms", "jobs=N ms", "speedup", "memoHits",

@@ -116,26 +116,43 @@ bool lift::exprEquals(const AExpr &A, const AExpr &B) {
 // Range analysis
 //===----------------------------------------------------------------------===//
 
+// An interval endpoint whose computation overflows int64_t is dropped
+// (that side becomes unknown): a wrapped bound would be unsound.
+
 static Range addRanges(const Range &A, const Range &B) {
   Range R;
-  if (A.Min && B.Min)
-    R.Min = *A.Min + *B.Min;
-  if (A.Max && B.Max)
-    R.Max = *A.Max + *B.Max;
+  std::int64_t V;
+  if (A.Min && B.Min && !__builtin_add_overflow(*A.Min, *B.Min, &V))
+    R.Min = V;
+  if (A.Max && B.Max && !__builtin_add_overflow(*A.Max, *B.Max, &V))
+    R.Max = V;
   return R;
 }
 
 static Range mulRanges(const Range &A, const Range &B) {
-  if (A.isBounded() && B.isBounded()) {
-    std::int64_t P[4] = {*A.Min * *B.Min, *A.Min * *B.Max, *A.Max * *B.Min,
-                         *A.Max * *B.Max};
-    return Range(*std::min_element(P, P + 4), *std::max_element(P, P + 4));
-  }
   Range R;
+  std::int64_t V;
+  if (A.isBounded() && B.isBounded()) {
+    // An overflowing corner product lies below INT64_MIN (mixed signs)
+    // or above INT64_MAX; the other corners still bound the other side.
+    bool MinLost = false, MaxLost = false;
+    for (std::int64_t X : {*A.Min, *A.Max})
+      for (std::int64_t Y : {*B.Min, *B.Max})
+        if (__builtin_mul_overflow(X, Y, &V))
+          ((X < 0) != (Y < 0) ? MinLost : MaxLost) = true;
+        else
+          R = Range(std::min(R.Min.value_or(V), V),
+                    std::max(R.Max.value_or(V), V));
+    if (MinLost)
+      R.Min.reset();
+    if (MaxLost)
+      R.Max.reset();
+    return R;
+  }
   // Both factors known non-negative: the product is non-negative and at
-  // least the product of the known lower bounds.
+  // least the product of the known lower bounds (0 when that overflows).
   if (A.atLeast(0) && B.atLeast(0))
-    R.Min = *A.Min * *B.Min;
+    R.Min = __builtin_mul_overflow(*A.Min, *B.Min, &V) ? 0 : V;
   return R;
 }
 

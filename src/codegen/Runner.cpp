@@ -22,27 +22,15 @@ RunResult lift::codegen::runCompiled(
   obs::Span SimSpan("simulate", "sim");
   SimSpan.arg("kernel", C.K.Name);
   SimSpan.arg("jobs", std::int64_t(Jobs));
+  // Outputs and counters are bit-identical for every Jobs value and to
+  // the reference ocl::Executor (see ParallelSim.h).
+  ParallelExecutor Ex(C.K, Sizes, Cache, Jobs);
+  for (std::size_t I = 0, E = Inputs.size(); I != E; ++I)
+    Ex.bindInput(C.InputBufferIds[I], Inputs[I]);
+  Ex.run();
   RunResult R;
-  if (Jobs == 1) {
-    // Legacy path: the tree-walking sequential simulator.
-    Executor Ex(C.K, Sizes, Cache);
-    for (std::size_t I = 0, E = Inputs.size(); I != E; ++I)
-      Ex.bindInput(C.InputBufferIds[I], Inputs[I]);
-    Ex.run();
-    R.Output = Ex.bufferContents(C.OutputBufferId);
-    R.Counters = Ex.counters();
-  } else {
-    // Compiled engine; shards the outermost parallel loop nest over
-    // min(Jobs, pool workers) threads (Jobs == 0: all workers). The
-    // counters are bit-identical to the Executor path by construction
-    // (see ParallelSim.h).
-    ParallelExecutor Ex(C.K, Sizes, Cache, Jobs);
-    for (std::size_t I = 0, E = Inputs.size(); I != E; ++I)
-      Ex.bindInput(C.InputBufferIds[I], Inputs[I]);
-    Ex.run();
-    R.Output = Ex.bufferContents(C.OutputBufferId);
-    R.Counters = Ex.counters();
-  }
+  R.Output = Ex.bufferContents(C.OutputBufferId);
+  R.Counters = Ex.counters();
   R.NDRange = analyzeNDRange(C.K, Sizes);
   // Whole-process roll-up. Not part of the jobs-invariant metric set:
   // tuner-level memoization can skip entire executions, so these totals

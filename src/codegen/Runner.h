@@ -7,9 +7,9 @@
 ///
 /// \file
 /// One-call pipeline: compile a low-level Lift program, execute it on
-/// the instrumented NDRange simulator, and return outputs + counters.
-/// Used by tests (against the interpreter oracle), the auto-tuner and
-/// the benchmark harnesses.
+/// the instrumented NDRange simulator (the compiled ParallelExecutor),
+/// and return outputs + counters. Used by tests (against the
+/// interpreter oracle), the auto-tuner and the benchmark harnesses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,10 +32,9 @@ struct RunResult {
 /// Compiles \p P and executes it on the simulator. \p Inputs holds one
 /// flat row-major float vector per program parameter; \p Sizes binds
 /// the size variables. \p Cache configures the modeled last-level
-/// cache. \p Jobs selects the execution engine: 1 (the default) is the
-/// legacy sequential Executor; any other value uses the compiled
-/// ParallelExecutor with up to that many threads (0 = all hardware
-/// workers). Counters and outputs are identical either way.
+/// cache. \p Jobs is the thread count of the compiled engine: 1 (the
+/// default) runs on the calling thread, 0 uses all pool workers.
+/// Counters and outputs are identical for every value.
 RunResult runOnSim(const ir::Program &P,
                    const std::vector<std::vector<float>> &Inputs,
                    const ocl::SizeEnv &Sizes,

@@ -109,6 +109,21 @@ std::string counterReport(const ocl::ExecCounters &A,
   return OS.str();
 }
 
+/// Runs \p C on the tree-walking reference simulator, ocl::Executor.
+/// It shares no execution code with the compiled ParallelExecutor that
+/// codegen::runCompiled (and so the tuner) uses, which makes it the
+/// independent side of oracle (d).
+RunResult runReference(const Compiled &C, const BuiltProgram &B) {
+  ocl::Executor Ex(C.K, B.Sizes);
+  for (std::size_t I = 0, E = B.Flat.size(); I != E; ++I)
+    Ex.bindInput(C.InputBufferIds[I], B.Flat[I]);
+  Ex.run();
+  RunResult R;
+  R.Output = Ex.bufferContents(C.OutputBufferId);
+  R.Counters = Ex.counters();
+  return R;
+}
+
 /// The deliberately broken pad-merge for the harness self-test:
 /// structurally identical to padPadMergeRule but the left/right
 /// contributions of the two pads are crossed. Total length (and thus
@@ -336,20 +351,20 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     }
   }
 
-  // (c) Untiled lowering on the sequential simulator engine.
+  // (c) Untiled lowering on the sequential reference simulator.
   std::string WhyNot;
   Program Low = lowerStencil(B->P, LoweringOptions(), &WhyNot);
   if (!Low)
     return Finish(discarded("untiled lowering does not apply: " + WhyNot));
   Compiled C = compileProgram(Low, "fuzz");
-  RunResult Seq = runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), 1);
+  RunResult Seq = runReference(C, *B);
   if (firstDivergence(RefFlat, Seq.Output) != -1)
     return Finish(mismatch(
         mismatchReport("sequential simulator vs interpreter", RefFlat,
                        Seq.Output)));
 
-  // (d) The parallel engine must be bit-identical to the sequential
-  // one in outputs *and* counters, at any job count.
+  // (d) The compiled engine must be bit-identical to the reference in
+  // outputs *and* counters, at any job count.
   RunResult Par =
       runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), O.ParJobs);
   if (firstDivergence(Seq.Output, Par.Output) != -1)
@@ -406,8 +421,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           obs::Registry::global().counter("fuzz.tiled.remainder").inc();
         }
         Compiled TC = compileProgram(TLow, "fuzz_tiled");
-        RunResult TSeq =
-            runCompiled(TC, B->Flat, B->Sizes, ocl::CacheConfig(), 1);
+        RunResult TSeq = runReference(TC, *B);
         if (firstDivergence(RefFlat, TSeq.Output) != -1)
           return Finish(mismatch(mismatchReport(
               "tiled lowering (v=" + std::to_string(V) +

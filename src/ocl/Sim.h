@@ -91,7 +91,11 @@ NDRangeInfo analyzeNDRange(const Kernel &K, const SizeEnv &Sizes);
 void exportCountersToMetrics(const ExecCounters &C,
                              const std::string &Prefix);
 
-/// Executes kernels functionally while counting events.
+/// Executes kernels functionally while counting events, by walking the
+/// kernel AST. This is the reference oracle: production paths run the
+/// compiled ParallelExecutor (ParallelSim.h), and the simulator tests
+/// and the differential fuzzer hold it to this class's outputs and
+/// counters.
 class Executor {
 public:
   Executor(const Kernel &K, const SizeEnv &Sizes,

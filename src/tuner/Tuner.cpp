@@ -251,10 +251,20 @@ private:
   std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash, KeyEq> Map;
 };
 
+/// What a measured sweep carries from preparing a candidate (on the
+/// pool) to timing it (serially, after every compile has finished).
+struct MeasureSlot {
+  codegen::Compiled C;
+  native::NativeKernelPtr Kern;
+};
+
+/// Lowers, simulates and models one candidate. Under the measured
+/// objective it also compiles the candidate natively into \p Slot;
+/// tuneStencil times it once every candidate is prepared.
 Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
                    const Candidate &C, const TuneOptions &Opts,
                    EvalMemo *Memo, PruneReason &Why,
-                   obs::CandidateRecord *Rec) {
+                   obs::CandidateRecord *Rec, MeasureSlot *Slot) {
   Why = PruneReason::None;
   Evaluated R;
   R.C = C;
@@ -372,22 +382,15 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   R.Valid = true;
   R.GElemsPerSec = double(totalElems(P.Target)) / R.T.Total / 1e9;
 
-  // Measured objective: also execute the candidate for real through
+  // Measured objective: also compile the candidate for real through
   // the native backend. The KernelCache (keyed on LowHash) compiles
   // each distinct lowering once per process, so work-group-size
-  // variants of one lowering share a binary; every candidate is still
-  // *measured* individually — wall clock is noisy, never memoized.
+  // variants of one lowering share a binary.
   if (Opts.Obj == Objective::Measured) {
     try {
-      codegen::Compiled NatC = codegen::compileProgram(Low, B.Name);
-      native::NativeKernelPtr Kern =
-          native::KernelCache::global().getOrCompile(LowHash, NatC.K);
-      native::NativeRunResult NR = native::runNative(
-          NatC, *Kern, P.Inputs, MeasureEnv, Opts.MeasureThreads,
-          Opts.MeasureWarmup, Opts.MeasureRepeats);
-      R.MeasuredSeconds = NR.Seconds;
-      R.MeasuredGElemsPerSec =
-          double(totalElems(P.Measure)) / NR.Seconds / 1e9;
+      Slot->C = codegen::compileProgram(Low, B.Name);
+      Slot->Kern =
+          native::KernelCache::global().getOrCompile(LowHash, Slot->C.K);
     } catch (const native::NativeError &) {
       Why = PruneReason::NativeFailed;
       R.Valid = false;
@@ -403,11 +406,11 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
 Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
                            const Candidate &C, const TuneOptions &Opts,
                            EvalMemo *Memo, PruneReason &Why,
-                           obs::CandidateRecord *Rec) {
+                           obs::CandidateRecord *Rec, MeasureSlot *Slot) {
   obs::Span CandSpan("tuner.candidate", "tuner");
   CandSpan.arg("variant", C.describe());
   auto T0 = std::chrono::steady_clock::now();
-  Evaluated R = evalImpl(P, Dev, C, Opts, Memo, Why, Rec);
+  Evaluated R = evalImpl(P, Dev, C, Opts, Memo, Why, Rec, Slot);
   // evalImpl may have filled in a detailed message (stable reason name
   // as prefix); only fall back to the bare reason name when it did not.
   if (!R.Valid && R.WhyNot.empty())
@@ -432,7 +435,6 @@ Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
     Rec->FromMemo = R.FromMemo;
     Rec->Valid = R.Valid;
     Rec->WallMicros = WallUs;
-    Rec->MeasuredTime = R.MeasuredSeconds;
     Rec->Objective =
         Opts.Obj == Objective::Measured ? "measured" : "modeled";
   }
@@ -449,7 +451,7 @@ Evaluated lift::tuner::evaluateCandidate(const TuningProblem &P,
   TuneOptions Opts;
   Opts.Jobs = Jobs;
   return evalInstrumented(P, Dev, C, Opts, /*Memo=*/nullptr, Why,
-                          /*Rec=*/nullptr);
+                          /*Rec=*/nullptr, /*Slot=*/nullptr);
 }
 
 TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
@@ -514,10 +516,10 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // below is independent of evaluation order (and thread schedule).
   std::vector<Evaluated> Evals(Candidates.size());
   std::vector<PruneReason> Reasons(Candidates.size(), PruneReason::None);
+  std::vector<obs::CandidateRecord> Recs(Candidates.size());
+  const bool Measured = Opts.Obj == Objective::Measured;
+  std::vector<MeasureSlot> Slots(Measured ? Candidates.size() : 0);
   EvalMemo Memo;
-  // Jobs == 1 is the legacy sequential tuner verbatim: tree-walking
-  // simulator, no memo, plain loop.
-  EvalMemo *MemoPtr = Opts.UseMemo && Opts.Jobs != 1 ? &Memo : nullptr;
 
   obs::FlightRecorder &Recorder = obs::FlightRecorder::global();
   const bool Record = Recorder.enabled();
@@ -525,22 +527,45 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
     Recorder.beginTune(P.B->Name, Candidates.size());
   TuneSpan.arg("candidates", std::int64_t(Candidates.size()));
 
-  unsigned Par =
-      Opts.Jobs == 0 ? ThreadPool::shared().workers() : Opts.Jobs;
-  auto EvalOne = [&](std::size_t I) {
-    obs::CandidateRecord Rec;
-    Rec.Index = I;
-    Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, MemoPtr,
-                                Reasons[I], Record ? &Rec : nullptr);
-    if (Record)
-      Recorder.record(I, std::move(Rec));
-  };
-  if (Par <= 1) {
-    for (std::size_t I = 0; I != Candidates.size(); ++I)
-      EvalOne(I);
-  } else {
-    ThreadPool::shared().parallelFor(Candidates.size(), EvalOne, Par);
+  // Stage 1, on up to Jobs pool workers (1: inline on this thread):
+  // lower, simulate, model and -- measured objective -- compile.
+  ThreadPool::shared().parallelFor(
+      Candidates.size(),
+      [&](std::size_t I) {
+        Recs[I].Index = I;
+        Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, &Memo,
+                                    Reasons[I], Record ? &Recs[I] : nullptr,
+                                    Measured ? &Slots[I] : nullptr);
+      },
+      Opts.Jobs);
+
+  // Stage 2, measured objective only: time the prepared candidates one
+  // by one in enumeration order. Stage 1 has finished, so no host
+  // compile (or simulation) competes with a timed run for the CPU.
+  // Every candidate is timed individually: wall clock is never memoized.
+  if (Measured) {
+    auto MeasureEnv = makeSizeEnv(P.Instance, P.Measure);
+    for (std::size_t I = 0; I != Candidates.size(); ++I) {
+      Evaluated &E = Evals[I];
+      if (!E.Valid)
+        continue;
+      auto T0 = std::chrono::steady_clock::now();
+      E.MeasuredSeconds =
+          native::runNative(Slots[I].C, *Slots[I].Kern, P.Inputs, MeasureEnv,
+                            Opts.MeasureThreads, Opts.MeasureWarmup,
+                            Opts.MeasureRepeats)
+              .Seconds;
+      E.MeasuredGElemsPerSec =
+          double(totalElems(P.Measure)) / E.MeasuredSeconds / 1e9;
+      Recs[I].MeasuredTime = E.MeasuredSeconds;
+      Recs[I].WallMicros += std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - T0)
+                                .count();
+    }
   }
+  if (Record)
+    for (std::size_t I = 0; I != Candidates.size(); ++I)
+      Recorder.record(I, std::move(Recs[I]));
 
   // Deterministic argmin: scan in enumeration order, first strictly
   // smaller predicted time wins — the same tie-break the sequential
@@ -584,8 +609,7 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
     Result.All.push_back(E);
     // Under the measured objective real wall-clock seconds rank the
     // candidates; the modeled time is still recorded for comparison.
-    double Score =
-        Opts.Obj == Objective::Measured ? E.MeasuredSeconds : E.T.Total;
+    double Score = Measured ? E.MeasuredSeconds : E.T.Total;
     if (!Result.Best.Valid || Score < BestTime) {
       Result.Best = E;
       BestTime = Score;
@@ -599,7 +623,7 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // Measured sweeps carry both times per candidate; summarize how well
   // the analytical model tracked the wall clock as tune-end gauges so
   // --obs-report surfaces calibration without the full JSON report.
-  if (Opts.Obj == Objective::Measured && !Result.All.empty()) {
+  if (Measured && !Result.All.empty()) {
     std::vector<obs::CalibrationPair> Pairs;
     for (const Evaluated &E : Result.All) {
       if (E.MeasuredSeconds <= 0 || E.T.Total <= 0)

@@ -143,22 +143,21 @@ struct PruneStats {
 /// Knobs of the search driver itself (not of the search space).
 struct TuneOptions {
   /// Candidate evaluations run on up to this many pool workers
-  /// (0 = all hardware workers). 1 keeps the legacy fully sequential
-  /// tree-walking simulator; any other value also switches the inner
-  /// simulation to the compiled engine. The winner is identical for
-  /// any value: results are deterministic and the argmin tie-break is
-  /// always "first candidate in enumeration order".
+  /// (0 = all hardware workers, 1 = the calling thread). Every sweep
+  /// uses the compiled simulator and shares one simulation between
+  /// candidates whose lowered programs are structurally equal under
+  /// the same size bindings and cache configuration (e.g. work-group-
+  /// size variants of one untiled lowering); neither changes results.
+  /// The winner is identical for any value: results are deterministic
+  /// and the argmin tie-break is always "first candidate in
+  /// enumeration order".
   unsigned Jobs = 1;
-  /// Share one simulation between candidates whose lowered programs
-  /// are structurally equal under the same size bindings and cache
-  /// configuration (e.g. work-group-size variants of one untiled
-  /// lowering). Never changes results, only skips redundant work.
-  /// Ignored at Jobs == 1, which stays the legacy tuner verbatim.
-  bool UseMemo = true;
   /// What the argmin ranks by. Objective::Measured needs a working
   /// host C toolchain; candidates whose native compilation fails are
-  /// pruned as "native-compile-failed". Measured runs are serialized
-  /// process-wide, so Jobs == 1 is the sensible pairing.
+  /// pruned as "native-compile-failed". A measured sweep runs in two
+  /// stages: every candidate is lowered, simulated and compiled on the
+  /// Jobs workers, then the valid ones are timed one at a time in
+  /// enumeration order, so no compile overlaps a timed run.
   Objective Obj = Objective::Modeled;
   /// Measured objective only: OpenMP threads per native run
   /// (0 = all hardware threads), untimed warmup executions, and timed
@@ -176,8 +175,9 @@ struct TuneResult {
   std::uint64_t MemoHits = 0; ///< evaluations served from the memo
 };
 
-/// Evaluates one candidate (used directly for the fixed, untuned
-/// hand-written reference configurations). \p Jobs as in TuneOptions.
+/// Evaluates one candidate under the modeled objective, without the
+/// evaluation memo (used directly for the fixed, untuned hand-written
+/// reference configurations). \p Jobs is the simulator's thread count.
 Evaluated evaluateCandidate(const TuningProblem &P,
                             const ocl::DeviceSpec &Dev, const Candidate &C,
                             unsigned Jobs = 1);

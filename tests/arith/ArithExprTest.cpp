@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace lift;
 
 namespace {
@@ -132,6 +134,41 @@ TEST(ArithExpr, SelfDivision) {
   AExpr N = sizeVar("n");
   EXPECT_TRUE(floorDiv(N, N)->isCst(1));
   EXPECT_TRUE(floorMod(N, N)->isCst(0));
+}
+
+TEST(ArithExpr, RangeArithmeticNearInt64MaxDropsOverflowingSide) {
+  // Interval endpoints that overflow int64_t must become unknown, never
+  // wrap: a wrapped upper bound would "prove" the expression small.
+  constexpr std::int64_t Max = std::numeric_limits<std::int64_t>::max();
+  AExpr A = var("a", Range(0, Max - 1));
+  AExpr B = var("b", Range(0, 2));
+
+  Range Sum = add(A, B)->getRange();
+  ASSERT_TRUE(Sum.Min.has_value());
+  EXPECT_EQ(*Sum.Min, 0);
+  EXPECT_FALSE(Sum.Max.has_value());
+
+  Range Prod = mul(A, B)->getRange();
+  ASSERT_TRUE(Prod.Min.has_value());
+  EXPECT_EQ(*Prod.Min, 0);
+  EXPECT_FALSE(Prod.Max.has_value());
+
+  // Mixed signs: the overflowing corner lies below INT64_MIN, so only
+  // the lower side is dropped.
+  AExpr C = var("c", Range(-(Max - 1), 1));
+  Range Mixed = mul(C, B)->getRange();
+  EXPECT_FALSE(Mixed.Min.has_value());
+  ASSERT_TRUE(Mixed.Max.has_value());
+  EXPECT_EQ(*Mixed.Max, 2);
+
+  // A non-negative factor with no upper bound: the product keeps a
+  // lower bound, which must not wrap negative either.
+  Range AboveHalf;
+  AboveHalf.Min = Max / 2;
+  Range Open = mul(var("d", AboveHalf), var("e", Range(3, 4)))->getRange();
+  ASSERT_TRUE(Open.Min.has_value());
+  EXPECT_GE(*Open.Min, 0);
+  EXPECT_FALSE(Open.Max.has_value());
 }
 
 TEST(ArithExpr, MinMaxRangeDecided) {

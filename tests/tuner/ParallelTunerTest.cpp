@@ -5,12 +5,18 @@
 // The parallel tuner must be a pure performance feature: the winning
 // candidate, its predicted time, and the set of valid candidates are
 // identical for any job count, the evaluation memo never changes
-// results, and a search in which every candidate is pruned reports the
+// results, a measured sweep never times a kernel while a compile runs,
+// and a search in which every candidate is pruned reports the
 // per-constraint counts instead of failing opaquely.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tuner/Tuner.h"
+
+#include "native/NativeRunner.h"
+#include "obs/FlightRecorder.h"
+#include "obs/Json.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +42,7 @@ TEST(ParallelTuner, SameWinnerAtJobs128) {
   TuningSpace S = trimmedSpace();
   DeviceSpec Dev = deviceNvidiaK20c();
 
-  TuneOptions O1; // Jobs = 1: legacy sequential path
+  TuneOptions O1; // Jobs = 1: every candidate on the calling thread
   TuneResult R1 = tuneStencil(P, Dev, S, O1);
 
   for (unsigned Jobs : {2u, 8u}) {
@@ -58,27 +64,103 @@ TEST(ParallelTuner, SameWinnerAtJobs128) {
 TEST(ParallelTuner, MemoDeduplicatesEquivalentLowerings) {
   // Untiled candidates that differ only in work-group size lower to
   // structurally identical programs; the memo must collapse them onto
-  // one simulation without changing any result.
+  // one simulation without changing any result: every candidate's
+  // predicted time equals a memo-free evaluation of that candidate.
   const Benchmark &B = findBenchmark("Jacobi2D5pt");
   TuningProblem P = makeProblem(B, false);
   TuningSpace S = trimmedSpace();
   DeviceSpec Dev = deviceNvidiaK20c();
 
-  TuneOptions WithMemo;
-  WithMemo.Jobs = 2;
-  TuneOptions NoMemo = WithMemo;
-  NoMemo.UseMemo = false;
-
-  TuneResult RM = tuneStencil(P, Dev, S, WithMemo);
-  TuneResult RN = tuneStencil(P, Dev, S, NoMemo);
+  TuneOptions O;
+  O.Jobs = 2;
+  TuneResult RM = tuneStencil(P, Dev, S, O);
 
   EXPECT_GT(RM.MemoHits, 0u);
-  EXPECT_EQ(RN.MemoHits, 0u);
-  ASSERT_EQ(RM.All.size(), RN.All.size());
-  for (std::size_t I = 0; I != RM.All.size(); ++I)
-    EXPECT_EQ(RM.All[I].T.Total, RN.All[I].T.Total)
-        << RM.All[I].C.describe();
-  EXPECT_EQ(RM.Best.C.describe(), RN.Best.C.describe());
+  for (const Evaluated &E : RM.All) {
+    Evaluated Fresh = evaluateCandidate(P, Dev, E.C);
+    ASSERT_TRUE(Fresh.Valid) << E.C.describe();
+    EXPECT_FALSE(Fresh.FromMemo) << E.C.describe();
+    EXPECT_EQ(E.T.Total, Fresh.T.Total) << E.C.describe();
+  }
+}
+
+TEST(ParallelTuner, MeasuredSweepTimesAfterEveryCompile) {
+  try {
+    native::probeToolchain();
+  } catch (const native::NativeError &) {
+    GTEST_SKIP() << "no usable host C compiler";
+  }
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  TuningProblem P = makeProblem(B, false);
+  TuningSpace S = trimmedSpace();
+  DeviceSpec Dev = deviceNvidiaK20c();
+  TuneOptions O;
+  O.Obj = Objective::Measured;
+  O.MeasureWarmup = 0;
+  O.MeasureRepeats = 1;
+
+  TuneResult R1 = tuneStencil(P, Dev, S, O);
+
+  // Empty the kernel cache so the traced sweep compiles for real.
+  native::KernelCache::global().clear();
+  obs::Tracer &T = obs::Tracer::global();
+  T.clear();
+  T.enable();
+  obs::FlightRecorder &FR = obs::FlightRecorder::global();
+  FR.clear();
+  FR.setEnabled(true);
+  O.Jobs = 4;
+  TuneResult R4 = tuneStencil(P, Dev, S, O);
+  FR.setEnabled(false);
+  T.disable();
+
+  // Same valid set and modeled times as the single-threaded sweep.
+  ASSERT_EQ(R1.All.size(), R4.All.size());
+  for (std::size_t I = 0; I != R1.All.size(); ++I) {
+    EXPECT_EQ(R1.All[I].C.describe(), R4.All[I].C.describe());
+    EXPECT_EQ(R1.All[I].T.Total, R4.All[I].T.Total);
+    EXPECT_GT(R4.All[I].MeasuredSeconds, 0.0);
+  }
+
+  // No timed run overlaps a host compile.
+  obs::json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(obs::json::parse(T.exportChromeJson(), Doc, &Err)) << Err;
+  T.clear();
+  std::vector<std::pair<double, double>> Compiles, Runs;
+  for (const obs::json::Value &E : Doc.find("traceEvents")->array()) {
+    if (E.find("ph")->asString() != "X")
+      continue;
+    const std::string &Name = E.find("name")->asString();
+    double Ts = E.find("ts")->asNumber();
+    double End = Ts + E.find("dur")->asNumber();
+    if (Name == "native.compile")
+      Compiles.emplace_back(Ts, End);
+    else if (Name == "native.run")
+      Runs.emplace_back(Ts, End);
+  }
+  ASSERT_FALSE(Compiles.empty());
+  EXPECT_EQ(Runs.size(), R4.All.size());
+  for (const auto &Run : Runs)
+    for (const auto &Compile : Compiles)
+      EXPECT_TRUE(Run.second <= Compile.first || Compile.second <= Run.first)
+          << "native.run [" << Run.first << ", " << Run.second
+          << "] overlaps native.compile [" << Compile.first << ", "
+          << Compile.second << "]";
+
+  // Every valid candidate's flight record carries its measured time.
+  std::vector<obs::FlightRecorder::TuneLog> Logs = FR.logs();
+  FR.clear();
+  ASSERT_EQ(Logs.size(), 1u);
+  std::size_t Valid = 0;
+  for (const obs::CandidateRecord &Rec : Logs[0].Records) {
+    if (!Rec.Valid)
+      continue;
+    ++Valid;
+    EXPECT_EQ(Rec.Objective, "measured");
+    EXPECT_GT(Rec.MeasuredTime, 0.0) << Rec.Variant;
+  }
+  EXPECT_EQ(Valid, R4.All.size());
 }
 
 TEST(ParallelTuner, RemainderTilesAreNotPruned) {

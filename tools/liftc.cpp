@@ -61,7 +61,8 @@ int usage() {
       "  run <bench> [variant] [--extents a,b,c]\n"
       "                                execute on the simulator\n"
       "  tune <bench> [--device <NvidiaK20c|AmdHd7970|MaliT628>] [--large]\n"
-      "               [--jobs <n>]      search the implementation space\n"
+      "               [--jobs <n>]      search the implementation space on\n"
+      "                                n workers (0 = all)\n"
       "  profile <bench> [variant] [--extents a,b,c] [--json <file>]\n"
       "                                per-region timers + static work\n"
       "                                counts + roofline report (native)\n"
@@ -72,7 +73,9 @@ int usage() {
       "  real; 'run' then reports wall-clock time (--warmup W untimed +\n"
       "  --repeats R timed executions, fastest wins; --jobs = OpenMP\n"
       "  threads), and 'tune' ranks candidates by measured seconds\n"
-      "  instead of the device model. The native backend splits every\n"
+      "  instead of the device model (it compiles the candidates on\n"
+      "  --jobs workers, then times them one at a time with --jobs\n"
+      "  OpenMP threads). The native backend splits every\n"
       "  innermost grid loop into edge loops and a clamp-free,\n"
       "  vectorized interior loop\n"
       "analysis (emit/run): --check-bounds statically proves every buffer\n"
@@ -470,11 +473,7 @@ int cmdTune(const Args &A) {
   TO.Jobs = A.Jobs;
   const bool Measured = A.Backend == "native";
   if (Measured) {
-    // Measured runs are serialized process-wide, so candidate-level
-    // parallelism buys nothing; --jobs becomes the per-run OpenMP
-    // thread count instead.
     TO.Obj = tuner::Objective::Measured;
-    TO.Jobs = 1;
     TO.MeasureThreads = A.Jobs;
     TO.MeasureWarmup = A.Warmup;
     TO.MeasureRepeats = A.Repeats;
