@@ -69,10 +69,12 @@ inline obs::ObsSession obsSessionFromArgs(int Argc, char **Argv) {
 
 /// Build/host provenance for --json snapshot outputs: compiler
 /// version and flags, CPU model and hostname, so a snapshot records
-/// *who* produced the numbers. Returns a serialized JSON object;
-/// harnesses embed it under a "meta" key. tools/bench_diff skips the
-/// block when comparing (host identity is not a perf metric).
-inline std::string benchMetaJson() {
+/// *who* produced the numbers. Harnesses that run native kernels pass
+/// the kernels' compile command (native::compileCommand), recorded as
+/// "kernel_compile". Returns a serialized JSON object; harnesses embed
+/// it under a "meta" key. tools/bench_diff skips the block when
+/// comparing (host identity is not a perf metric).
+inline std::string benchMetaJson(const std::string &KernelCompile = "") {
   using obs::json::Value;
   Value M = Value::makeObject();
 #ifdef __VERSION__
@@ -113,6 +115,8 @@ inline std::string benchMetaJson() {
     Host = Buf;
 #endif
   M.set("hostname", Value::string(Host));
+  if (!KernelCompile.empty())
+    M.set("kernel_compile", Value::string(KernelCompile));
   return M.serialize();
 }
 

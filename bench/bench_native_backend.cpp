@@ -33,9 +33,12 @@
 //                           of the reduced measurement grids
 //   --boundary              compare the unspecialized emitted C,
 //                           compiled directly, with the kernel the
-//                           backend compiles (interior-specialized,
-//                           analysis/InteriorSpec.h) instead of native
-//                           vs model
+//                           backend compiles (analysis/InteriorSpec.h:
+//                           interior/edge split for the untiled kernel,
+//                           versioned tile fill for tiled16-local)
+//                           instead of native vs model; each time is
+//                           the median of --repeats single runs, with
+//                           its spread
 //   --boundary-json [path]  the boundary comparison as JSON (the
 //                           checked-in BENCH_native_boundary.json is
 //                           produced with --full --boundary-json)
@@ -52,11 +55,13 @@
 #include "rewrite/Lowering.h"
 #include "tuner/Tuner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace lift;
@@ -79,16 +84,31 @@ struct Row {
   double MaxErr = 0;
 };
 
-/// One generic-vs-specialized comparison (--boundary mode).
+/// One generic-vs-specialized comparison (--boundary mode). Times are
+/// medians of the timed runs; spreads are (max - min) / median in %.
 struct BoundaryRow {
   std::string Name;
+  std::string Variant; ///< "global" or "tiled16-local"
   std::string Grid;
   unsigned LoopsSplit = 0;
+  unsigned FillsVersioned = 0;
   double GenericMs = 0;
+  double GenericSpreadPct = 0;
   double SpecializedMs = 0;
+  double SpecializedSpreadPct = 0;
   double Speedup = 0; ///< GenericMs / SpecializedMs
   double MaxErr = 0;  ///< worst of the two runs vs golden
 };
+
+/// Median and (max - min) / median in % of \p Ms.
+std::pair<double, double> medianAndSpread(std::vector<double> Ms) {
+  std::sort(Ms.begin(), Ms.end());
+  double Median = Ms.size() % 2 ? Ms[Ms.size() / 2]
+                                : 0.5 * (Ms[Ms.size() / 2 - 1] +
+                                         Ms[Ms.size() / 2]);
+  return {Median, Median > 0 ? 100.0 * (Ms.back() - Ms.front()) / Median
+                             : 0.0};
+}
 
 unsigned parseUnsigned(int Argc, char **Argv, const char *Flag,
                        unsigned Default) {
@@ -160,50 +180,70 @@ int main(int argc, char **argv) {
       std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, Grid);
       std::vector<float> Want = B.Golden(Inputs, Grid);
 
-      // Untiled lowering only: the specializer leaves barrier-staged
-      // tiled kernels untouched by design. The backend specializes every
-      // kernel it compiles, so the generic baseline is compiled from the
-      // unspecialized source directly.
-      ir::Program Low = rewrite::lowerStencil(P.Instance.P, {});
-      codegen::Compiled C = codegen::compileProgram(Low, B.Name);
-      analysis::SpecStats SS;
-      native::specializeForNative(C.K, &SS);
+      // The untiled kernel (interior/edge split) and the tiled16-local
+      // kernel (versioned tile fill), each lowered at the grid it runs
+      // on. The backend specializes every kernel it compiles, so the
+      // generic baseline is compiled from the unspecialized source
+      // directly, with the same compile flags.
+      rewrite::LoweringOptions Tiled;
+      Tiled.Tile = true;
+      Tiled.TileOutputs = 16;
+      Tiled.UseLocalMem = true;
+      Tiled.OutputExtents.assign(Grid.begin(), Grid.end());
+      for (const rewrite::LoweringOptions &LO :
+           {rewrite::LoweringOptions(), Tiled}) {
+        ir::Program Low = rewrite::lowerStencil(P.Instance.P, LO);
+        codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+        analysis::SpecStats SS;
+        native::specializeForNative(C.K, &SS);
 
-      BoundaryRow R;
-      R.Name = Name;
-      R.Grid = extentsToString(Grid);
-      R.LoopsSplit = SS.LoopsSplit;
-      try {
-        std::string GenericSrc = native::emitC(C.K);
-        native::NativeKernelPtr GK = native::compileCSource(
-            GenericSrc, C.K.Name, native::NativeOptions());
-        native::NativeRunResult GR = native::runNative(
-            C, *GK, Inputs, Env, Threads, Warmup, Repeats);
-        native::NativeKernelPtr SK = native::compileKernel(C.K);
-        native::NativeRunResult SR = native::runNative(
-            C, *SK, Inputs, Env, Threads, Warmup, Repeats);
-        R.GenericMs = GR.Seconds * 1e3;
-        R.SpecializedMs = SR.Seconds * 1e3;
-        R.Speedup = GR.Seconds / SR.Seconds;
-        R.MaxErr = std::max(validate(GR.Output, Want),
-                            validate(SR.Output, Want));
-      } catch (const native::NativeError &Ex) {
-        std::fprintf(stderr, "%s: native backend failed: %s\n", Name,
-                     Ex.what());
-        AllValid = false;
-        continue;
+        BoundaryRow R;
+        R.Name = Name;
+        R.Variant = LO.describe();
+        R.Grid = extentsToString(Grid);
+        R.LoopsSplit = SS.LoopsSplit;
+        R.FillsVersioned = SS.FillsVersioned;
+        try {
+          native::NativeKernelPtr GK = native::compileCSource(
+              native::emitC(C.K), C.K.Name, native::NativeOptions());
+          native::NativeKernelPtr SK = native::compileKernel(C.K);
+          // Alternate the two kernels, one timed run each per round
+          // (after the warmup runs), so drift hits both alike.
+          std::vector<double> GMs, SMs;
+          for (unsigned I = 0; I != Repeats; ++I) {
+            unsigned W = I == 0 ? Warmup : 0;
+            native::NativeRunResult GR =
+                native::runNative(C, *GK, Inputs, Env, Threads, W, 1);
+            native::NativeRunResult SR =
+                native::runNative(C, *SK, Inputs, Env, Threads, W, 1);
+            GMs.push_back(GR.Seconds * 1e3);
+            SMs.push_back(SR.Seconds * 1e3);
+            if (I == 0)
+              R.MaxErr = std::max(validate(GR.Output, Want),
+                                  validate(SR.Output, Want));
+          }
+          std::tie(R.GenericMs, R.GenericSpreadPct) = medianAndSpread(GMs);
+          std::tie(R.SpecializedMs, R.SpecializedSpreadPct) =
+              medianAndSpread(SMs);
+          R.Speedup = R.GenericMs / R.SpecializedMs;
+        } catch (const native::NativeError &Ex) {
+          std::fprintf(stderr, "%s %s: native backend failed: %s\n", Name,
+                       R.Variant.c_str(), Ex.what());
+          AllValid = false;
+          continue;
+        }
+        if (R.MaxErr >= 1e-3) {
+          std::fprintf(stderr, "%s %s: VALIDATION FAILED (max err %.3g)\n",
+                       Name, R.Variant.c_str(), R.MaxErr);
+          AllValid = false;
+        }
+        BRows.push_back(R);
       }
-      if (R.MaxErr >= 1e-3) {
-        std::fprintf(stderr, "%s: VALIDATION FAILED (max err %.3g)\n", Name,
-                     R.MaxErr);
-        AllValid = false;
-      }
-      BRows.push_back(R);
     }
 
     if (BoundaryJson) {
       std::string Out =
-          "{\n\"meta\": " + benchMetaJson() +
+          "{\n\"meta\": " + benchMetaJson(native::compileCommand()) +
           ",\n\"threads\": " + std::to_string(Threads) +
           ",\n\"warmup\": " + std::to_string(Warmup) +
           ",\n\"repeats\": " + std::to_string(Repeats) +
@@ -214,12 +254,14 @@ int main(int argc, char **argv) {
         char Buf[512];
         std::snprintf(
             Buf, sizeof(Buf),
-            "  {\"name\": \"%s\", \"grid\": \"%s\", "
-            "\"loops_split\": %u, \"generic_ms\": %.4f, "
-            "\"specialized_ms\": %.4f, \"speedup\": %.4f, "
-            "\"max_err\": %.3g}",
-            R.Name.c_str(), R.Grid.c_str(), R.LoopsSplit, R.GenericMs,
-            R.SpecializedMs, R.Speedup, R.MaxErr);
+            "  {\"name\": \"%s\", \"variant\": \"%s\", \"grid\": \"%s\", "
+            "\"loops_split\": %u, \"fills_versioned\": %u, "
+            "\"generic_ms\": %.4f, \"generic_spread_pct\": %.1f, "
+            "\"specialized_ms\": %.4f, \"specialized_spread_pct\": %.1f, "
+            "\"speedup\": %.4f, \"max_err\": %.3g}",
+            R.Name.c_str(), R.Variant.c_str(), R.Grid.c_str(), R.LoopsSplit,
+            R.FillsVersioned, R.GenericMs, R.GenericSpreadPct,
+            R.SpecializedMs, R.SpecializedSpreadPct, R.Speedup, R.MaxErr);
         Out += Buf;
         Out += I + 1 == BRows.size() ? "\n" : ",\n";
       }
@@ -236,19 +278,24 @@ int main(int argc, char **argv) {
         OS << Out;
       }
     } else {
-      std::printf("Generic vs interior-specialized native kernels "
-                  "(%s grids); %u thread(s), best of %u after %u warmup\n",
+      std::printf("Generic vs specialized native kernels (%s grids); "
+                  "%u thread(s), median (spread) of %u after %u warmup\n",
                   Full ? "target" : "measure", Threads, Repeats, Warmup);
-      printRule(86);
-      std::printf("%-12s %-14s %6s %12s %12s %9s %9s\n", "Benchmark",
-                  "Grid", "split", "generic ms", "special ms", "speedup",
-                  "max err");
-      printRule(86);
+      std::printf("kernels compiled with: %s\n",
+                  native::compileCommand().c_str());
+      printRule(112);
+      std::printf("%-12s %-14s %-14s %5s %5s %18s %18s %9s %9s\n",
+                  "Benchmark", "Variant", "Grid", "split", "fills",
+                  "generic ms", "special ms", "speedup", "max err");
+      printRule(112);
       for (const BoundaryRow &R : BRows)
-        std::printf("%-12s %-14s %6u %12.4f %12.4f %8.2fx %9.2g\n",
-                    R.Name.c_str(), R.Grid.c_str(), R.LoopsSplit,
-                    R.GenericMs, R.SpecializedMs, R.Speedup, R.MaxErr);
-      printRule(86);
+        std::printf("%-12s %-14s %-14s %5u %5u %10.4f (%4.0f%%) %10.4f "
+                    "(%4.0f%%) %8.2fx %9.2g\n",
+                    R.Name.c_str(), R.Variant.c_str(), R.Grid.c_str(),
+                    R.LoopsSplit, R.FillsVersioned, R.GenericMs,
+                    R.GenericSpreadPct, R.SpecializedMs,
+                    R.SpecializedSpreadPct, R.Speedup, R.MaxErr);
+      printRule(112);
     }
     return AllValid ? 0 : 1;
   }
@@ -330,7 +377,8 @@ int main(int argc, char **argv) {
   }
 
   if (Json) {
-    std::string Out = "{\n\"meta\": " + benchMetaJson() +
+    std::string Out = "{\n\"meta\": " +
+                      benchMetaJson(native::compileCommand()) +
                       ",\n\"device_model\": \"" + Dev.Name + "\"" +
                       ",\n\"threads\": " + std::to_string(Threads) +
                       ",\n\"warmup\": " + std::to_string(Warmup) +

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <unordered_set>
 
 namespace lift {
@@ -507,16 +508,67 @@ bool proveNonNegByFactoring(const AExpr &E, int Budget) {
   return false;
 }
 
+/// Floor rule for tile counts: d * floor(X / d) lies in [X - d + 1, X]
+/// for a constant d >= 1, so a summand c * floor(X / d) with d | c is
+/// at least (c/d) * (X - d + 1) when c > 0 and (c/d) * X when c < 0.
+/// Replacing every such summand by that lower bound turns e.g.
+/// n - 1 - 16 * floor((n - 1) / 16) into 0, which the interval domain
+/// cannot see through the opaque floor. Proves E >= 0 when the
+/// rewritten sum does.
+bool proveNonNegByFloorDiv(const AExpr &E, int Budget) {
+  // Summand T = c * floor(X / d) with d | c: returns c / d and the
+  // floor node.
+  auto Match = [](const AExpr &T, std::int64_t &M) -> const ArithExpr * {
+    std::int64_t C = 1;
+    const ArithExpr *Div = T.get();
+    if (T->getKind() == Kind::Mul && T->getOperands().size() == 2 &&
+        T->getOperands()[0]->getKind() == Kind::Cst) {
+      C = T->getOperands()[0]->getCst();
+      Div = T->getOperands()[1].get();
+    }
+    if (Div->getKind() != Kind::Div ||
+        Div->getOperands()[1]->getKind() != Kind::Cst)
+      return nullptr;
+    std::int64_t D = Div->getOperands()[1]->getCst();
+    if (D < 1 || C % D != 0)
+      return nullptr;
+    M = C / D;
+    return Div;
+  };
+  std::vector<AExpr> Terms;
+  if (E->getKind() == Kind::Add)
+    Terms = E->getOperands();
+  else
+    Terms.push_back(E);
+  std::int64_t M;
+  if (std::none_of(Terms.begin(), Terms.end(),
+                   [&](const AExpr &T) { return Match(T, M) != nullptr; }))
+    return false;
+  AExpr Low = cst(0);
+  for (const AExpr &T : Terms) {
+    const ArithExpr *Div = Match(T, M);
+    if (!Div) {
+      Low = add(Low, T);
+      continue;
+    }
+    const AExpr &X = Div->getOperands()[0];
+    std::int64_t D = Div->getOperands()[1]->getCst();
+    Low = add(Low, mul(cst(M), M > 0 ? sub(X, cst(D - 1)) : X));
+  }
+  return proveNonNeg(Low, Budget - 1);
+}
+
 /// Proves E >= 0 for all assignments (of an already var-bounded
-/// expression) by interval analysis, factoring, plus case-splitting on
-/// Min/Max atoms: pointwise, min(a,b) and max(a,b) each equal one of
-/// their operands, so E >= 0 follows when both substitutions prove.
+/// expression) by interval analysis, factoring, the floor rule, plus
+/// case-splitting on Min/Max atoms: pointwise, min(a,b) and max(a,b)
+/// each equal one of their operands, so E >= 0 follows when both
+/// substitutions prove.
 bool proveNonNeg(const AExpr &E, int Budget) {
   if (E->getRange().atLeast(0))
     return true;
   if (Budget <= 0)
     return false;
-  if (proveNonNegByFactoring(E, Budget))
+  if (proveNonNegByFactoring(E, Budget) || proveNonNegByFloorDiv(E, Budget))
     return true;
   AExpr M = findMinMax(E);
   if (!M)
@@ -551,6 +603,83 @@ bool proveNonNeg(const AExpr &E, int Budget) {
       return false;
   }
   return true;
+}
+
+/// The constant coefficient of \p V in the canonical sum \p E when V
+/// occurs exactly once, as a top-level summand V or c * V; 0 otherwise.
+std::int64_t linearCoeff(const AExpr &E, const AExpr &V) {
+  std::unordered_map<unsigned, std::pair<unsigned, AExpr>> Occ;
+  countVars(E, Occ);
+  if (Occ[V->getVarId()].first != 1)
+    return 0;
+  auto TermCoeff = [&](const AExpr &T) -> std::int64_t {
+    if (exprEquals(T, V))
+      return 1;
+    if (T->getKind() == Kind::Mul && T->getOperands().size() == 2 &&
+        T->getOperands()[0]->getKind() == Kind::Cst &&
+        exprEquals(T->getOperands()[1], V))
+      return T->getOperands()[0]->getCst();
+    return 0;
+  };
+  if (E->getKind() != Kind::Add)
+    return TermCoeff(E);
+  for (const AExpr &T : E->getOperands())
+    if (std::int64_t C = TermCoeff(T))
+      return C;
+  return 0;
+}
+
+/// Operands of the nested \p K (Max or Min) tree rooted at \p E; E
+/// itself when it is no such node.
+void flattenMinMax(const AExpr &E, Kind K, std::vector<AExpr> &Out) {
+  if (E->getKind() != K) {
+    Out.push_back(E);
+    return;
+  }
+  for (const AExpr &Op : E->getOperands())
+    flattenMinMax(Op, K, Out);
+}
+
+/// Proves E >= 0 by eliminating refined variables one at a time,
+/// innermost (largest id) first, each substituted by its refinement
+/// *unexpanded*: c * v >= c * lo for c > 0 (c * hi for c < 0), and
+/// any operand of a max lower bound (min upper bound) is itself a
+/// bound. Keeping the bound symbolic lets it cancel against the rest of
+/// the sum: under 1 - 16 * w <= i <= 512 - 16 * w the sum 512 * i +
+/// 8192 * w - 512 is provably >= 0, which lowerBound, expanding w to
+/// its own numeric range inside i's bound, cannot see. Only variables
+/// occurring once, linearly at the top level, are eliminated.
+bool proveNonNegByElimination(const AExpr &E, const Facts &F, int Budget) {
+  if (proveNonNeg(E, 4))
+    return true;
+  if (Budget <= 0)
+    return false;
+  std::vector<unsigned> Vars;
+  collectVars(E, Vars);
+  std::sort(Vars.begin(), Vars.end(), std::greater<unsigned>());
+  for (unsigned Id : Vars) {
+    const Refinement *R = F.refinement(Id);
+    if (!R)
+      continue;
+    std::unordered_map<unsigned, std::pair<unsigned, AExpr>> Occ;
+    countVars(E, Occ);
+    const AExpr V = Occ[Id].second;
+    std::int64_t C = linearCoeff(E, V);
+    if (C == 0)
+      continue;
+    const AExpr &B = C > 0 ? R->Lo : R->Hi;
+    if (!B)
+      return false;
+    std::vector<AExpr> Choices;
+    flattenMinMax(B, C > 0 ? Kind::Max : Kind::Min, Choices);
+    AExpr Rest = sub(E, mul(cst(C), V));
+    for (const AExpr &Ch : Choices)
+      if (proveNonNegByElimination(add(Rest, mul(cst(C), Ch)), F,
+                                   Budget - 1))
+        return true;
+    return false;
+  }
+  return proveNonNeg(lowerBound(E, F), 6);
 }
 
 } // namespace
@@ -799,10 +928,32 @@ struct BoundsChecker {
     const ocl::BufferDecl &B = K.buffer(BufferId);
     AExpr Idx = simplifyWithFacts(inst(Index), F);
     AExpr N = inst(B.NumElems);
-    if (provablyInBounds(Idx, cst(0), N, F))
+    // Guard facts refine several variables in terms of each other (a
+    // constant-pad load under its per-axis Selects); the elimination
+    // prover keeps those refinements symbolic. It is the checker's
+    // fallback only: it costs too much for the specializer's many
+    // failing queries.
+    auto LE = [&](const AExpr &A, const AExpr &Bd) {
+      return provablyLE(A, Bd, F) ||
+             proveNonNegByElimination(sub(Bd, A), F, 6);
+    };
+    if (LE(cst(0), Idx) && LE(Idx, sub(N, cst(1))))
       return;
     Violations.push_back(
         {IsStore, B.Name, Idx->toString(), N->toString()});
+  }
+
+  /// \p F extended with the facts of guard \p Checks (a Select's or an
+  /// If's), each simplified under \p F first, exactly as the accesses
+  /// they guard are, so that both sides cancel the same terms.
+  Facts withGuard(const std::vector<ocl::BoundsCheck> &Checks,
+                  const Facts &F) const {
+    Facts Out = F;
+    for (const ocl::BoundsCheck &C : Checks)
+      Out = Out.withCheckFact(simplifyWithFacts(inst(C.Idx), F),
+                              simplifyWithFacts(inst(C.Lo), F),
+                              simplifyWithFacts(inst(C.Hi), F));
+    return Out;
   }
 
   void checkExpr(const ocl::KExprPtr &E, const Facts &F) {
@@ -823,10 +974,7 @@ struct BoundsChecker {
     case ocl::KExpr::Kind::Select: {
       // The Then branch only executes when every check holds — learn
       // each Lo <= Idx < Hi as a refinement for its analysis.
-      Facts ThenF = F;
-      for (const ocl::BoundsCheck &C : E->Checks)
-        ThenF = ThenF.withCheckFact(inst(C.Idx), inst(C.Lo), inst(C.Hi));
-      checkExpr(E->Then, ThenF);
+      checkExpr(E->Then, withGuard(E->Checks, F));
       checkExpr(E->Else, F);
       return;
     }
@@ -844,6 +992,15 @@ struct BoundsChecker {
       return;
     case ocl::Stmt::Kind::Barrier:
       return;
+    case ocl::Stmt::Kind::If: {
+      // As for Select: the then-branch runs only under the guard.
+      Facts ThenF = withGuard(S->Checks, F);
+      for (const ocl::StmtPtr &B : S->Body)
+        checkStmt(B, ThenF);
+      for (const ocl::StmtPtr &B : S->ElseBody)
+        checkStmt(B, F);
+      return;
+    }
     case ocl::Stmt::Kind::Loop: {
       Facts LoopF = F.withLoopVar(S->LoopVar, inst(S->Count));
       for (const ocl::StmtPtr &B : S->Body)

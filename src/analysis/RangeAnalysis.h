@@ -32,6 +32,8 @@
 ///     fuzzer/tuner skip candidates instead of discarding programs;
 ///  3. checkKernelBounds — a static bounds-check pass over lowered
 ///     kernel ASTs (liftc emit --check-bounds, liftfuzz --check-bounds).
+///     It alone also tries an elimination prover that keeps correlated
+///     refinements symbolic, too slow for consumer 1's many queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,8 +161,8 @@ struct BoundsViolation {
 
 /// Statically checks every Load/Store of \p K: the index must be
 /// provably within [0, NumElems) of its buffer under the loop-bound
-/// facts (each loop variable in [0, count-1]) and Select guard facts
-/// (a guarded branch only runs when its checks hold). With \p Sizes
+/// facts (each loop variable in [0, count-1]) and Select and If guard
+/// facts (a guarded branch only runs when its checks hold). With \p Sizes
 /// the kernel's size arguments are bound first, making every bound
 /// concrete. Returns the unprovable accesses; empty means the kernel
 /// is statically memory-safe.

@@ -55,6 +55,19 @@ public:
 private:
   Kernel K;
   std::unordered_map<const ParamExpr *, ViewPtr> ViewEnv;
+
+  /// Records the launch precondition of a clamped slide or join: the
+  /// last window starts at \p Extent - \p Min, so the axis must hold at
+  /// least one full window. Only symbolic extents need recording.
+  void noteMinExtent(const AExpr &Extent, const AExpr &Min) {
+    if (Extent->getKind() == ArithExpr::Kind::Cst ||
+        Min->getKind() != ArithExpr::Kind::Cst)
+      return;
+    for (const MinExtent &M : K.MinExtents)
+      if (M.Extent == Extent && M.Min == Min->getCst())
+        return;
+    K.MinExtents.push_back({Extent, Min->getCst()});
+  }
   std::vector<StmtPtr> *CurBlock = nullptr;
   int NextTmp = 0;
   int NextLoopVar = 0;
@@ -209,6 +222,7 @@ private:
     case Prim::SlideClamp: {
       // Window w starts at min(w*step, n - size).
       const TypePtr &InTy = C.getArgs()[0]->getType();
+      noteMinExtent(InTy->getSize(), C.Size);
       return vSlideClamped(C.Size, C.Step, sub(InTy->getSize(), C.Size),
                            valueOf(C.getArgs()[0]));
     }
@@ -216,6 +230,7 @@ private:
       // Element o lives in tile o/k at offset o - min((o/k)*k, m - k).
       const TypePtr &InTy = C.getArgs()[0]->getType();
       AExpr K = InTy->getElem()->getSize();
+      noteMinExtent(C.Size, K);
       return vJoinClamped(K, sub(C.Size, K), valueOf(C.getArgs()[0]));
     }
     case Prim::Pad: {
@@ -308,6 +323,7 @@ private:
         // values (last writer wins).
         const TypePtr &ArgTy = C->getArgs()[0]->getType();
         AExpr K = ArgTy->getElem()->getSize();
+        noteMinExtent(C->Size, K);
         genToView(C->getArgs()[0],
                   vSlideClamped(K, K, sub(C->Size, K), Out));
         return;
@@ -447,6 +463,7 @@ private:
         return std::nullopt;
       AExpr K = InnerTy->getElem()->getSize();
       AExpr ClampMax = sub(C->Size, K);
+      noteMinExtent(C->Size, K);
       auto Rec = buildElementInverse(Inner, P);
       if (!Rec)
         return std::nullopt;
@@ -622,6 +639,17 @@ private:
       collectExprVars(S->Value, Bound, Out);
       return;
     case Stmt::Kind::Barrier:
+      return;
+    case Stmt::Kind::If:
+      for (const BoundsCheck &C : S->Checks) {
+        collectVarsIn(C.Idx, Bound, Out);
+        collectVarsIn(C.Lo, Bound, Out);
+        collectVarsIn(C.Hi, Bound, Out);
+      }
+      for (const StmtPtr &B : S->Body)
+        collectStmtVars(B, Bound, Out);
+      for (const StmtPtr &B : S->ElseBody)
+        collectStmtVars(B, Bound, Out);
       return;
     case Stmt::Kind::Loop: {
       collectVarsIn(S->Count, Bound, Out);

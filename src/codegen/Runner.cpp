@@ -19,6 +19,7 @@ RunResult lift::codegen::runCompiled(
     const SizeEnv &Sizes, const CacheConfig &Cache, unsigned Jobs) {
   if (Inputs.size() != C.InputBufferIds.size())
     fatalError("runCompiled: input count mismatch");
+  checkLaunchExtents(C.K, Sizes);
   obs::Span SimSpan("simulate", "sim");
   SimSpan.arg("kernel", C.K.Name);
   SimSpan.arg("jobs", std::int64_t(Jobs));

@@ -42,7 +42,8 @@ RunResult runOnSim(const ir::Program &P,
                    unsigned Jobs = 1);
 
 /// Executes an already-compiled kernel on fresh input data. \p Jobs as
-/// in runOnSim.
+/// in runOnSim. Throws RecoverableError when \p Sizes are below one of
+/// the kernel's MinExtents (ocl::checkLaunchExtents).
 RunResult runCompiled(const Compiled &C,
                       const std::vector<std::vector<float>> &Inputs,
                       const ocl::SizeEnv &Sizes,

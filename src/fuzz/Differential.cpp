@@ -299,6 +299,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
   unsigned BoundsUnproven = 0;
   unsigned TiledRemainder = 0;
   unsigned TiledIndivisible = 0;
+  unsigned TiledVersioned = 0;
   // Attaches the telemetry counts to whatever result the oracles
   // produce.
   auto Finish = [&](DiffResult R) {
@@ -306,6 +307,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     R.BoundsUnproven = BoundsUnproven;
     R.TiledRemainder = TiledRemainder;
     R.TiledIndivisible = TiledIndivisible;
+    R.TiledVersioned = TiledVersioned;
     return R;
   };
   for (std::uint32_t Pick : S.RewritePicks) {
@@ -402,11 +404,19 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
       LoweringOptions TO;
       TO.Tile = true;
       TO.TileOutputs = V;
+      // Odd sub-seeds stage their tiles in local memory, whose tile
+      // fills the native backend versions; a shape the local-memory
+      // lowering does not take falls back to plain tiling.
+      TO.UseLocalMem = S.Seed % 2 == 1;
       bool Remainder = false;
       for (std::int64_t OD : OutExt)
         Remainder |= OD % V != 0;
       std::string TWhy;
       Program TLow = lowerStencil(B->P, TO, &TWhy);
+      if (!TLow && TO.UseLocalMem) {
+        TO.UseLocalMem = false;
+        TLow = lowerStencil(B->P, TO, &TWhy);
+      }
       if (!TLow && TWhy.find("tile-indivisible") != std::string::npos) {
         // The picker judged this tile legal; a tile-indivisibility
         // refusal here means the lowering lost a case the clamped
@@ -435,13 +445,20 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           return Finish(mismatch(
               "oracle mismatch: tiled parallel simulator determinism\n" +
               counterReport(TSeq.Counters, TPar.Counters)));
-        if (O.Native)
+        if (O.Native) {
+          analysis::SpecStats SS;
+          native::specializeForNative(TC.K, &SS);
+          if (SS.FillsVersioned) {
+            TiledVersioned = 1;
+            obs::Registry::global().counter("fuzz.tiled.versioned").inc();
+          }
           if (std::optional<DiffResult> NR = checkNative(
                   TLow, TC,
                   "tiled native executor (v=" + std::to_string(V) +
-                      ") vs interpreter",
+                      (TO.UseLocalMem ? ", local" : "") + ") vs interpreter",
                   RefFlat, *B, O))
             return Finish(*NR);
+        }
       }
     }
   }
@@ -462,6 +479,7 @@ CampaignStats lift::fuzz::runCampaign(std::uint64_t Seed, unsigned Count,
     Stats.BoundsUnproven += R.BoundsUnproven;
     Stats.TiledRemainder += R.TiledRemainder;
     Stats.TiledIndivisible += R.TiledIndivisible;
+    Stats.TiledVersioned += R.TiledVersioned;
     switch (R.Status) {
     case DiffStatus::Ok:
       ++Stats.Ok;

@@ -17,7 +17,8 @@
 ///   (b) random legal rewrite sequences re-interpreted,
 ///   (c) lowering -> the sequential NDRange simulator,
 ///   (d) the parallel simulator at several job counts,
-///   (e) tiled lowering through both simulator engines when it fits,
+///   (e) tiled lowering through both simulator engines when it fits
+///       (odd sub-seeds stage the tiles in local memory),
 ///   (f) optionally (DiffOptions::Native) the native executor: the
 ///       kernel emitted as C, compiled with the host compiler,
 ///       dlopen()ed and run for real,
@@ -175,6 +176,9 @@ struct DiffResult {
   /// by the tiled lowering as tile-indivisible. Always a bug in either
   /// the picker or the lowering; campaigns are expected to report 0.
   unsigned TiledIndivisible = 0;
+  /// TryTiled and Native only: 1 when the tiled kernel the native
+  /// backend ran had a versioned tile fill (analysis/InteriorSpec.h).
+  unsigned TiledVersioned = 0;
 };
 
 /// Runs one spec through all oracles. Deterministic: equal specs give
@@ -215,6 +219,8 @@ struct CampaignStats {
   /// Specs whose tiled lowering refused a tile the picker judged
   /// legal (tile-indivisible). Expected to be 0 in every campaign.
   unsigned TiledIndivisible = 0;
+  /// Specs whose tiled native kernel ran a versioned tile fill.
+  unsigned TiledVersioned = 0;
   std::vector<CampaignFailure> Failures;
 };
 

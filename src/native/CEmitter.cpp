@@ -77,6 +77,7 @@ public:
   }
   void setVar(unsigned Id, std::string Name) { VarNames[Id] = std::move(Name); }
 
+  bool hasVar(unsigned Id) const { return VarNames.count(Id) != 0; }
   const std::string &buffer(int Id) const { return BufNames.at(Id); }
   const std::string &reg(int Id) const { return RegNames.at(Id); }
   const std::string &var(unsigned Id) const {
@@ -172,6 +173,12 @@ private:
         scanStmt(*C, Inner);
       break;
     }
+    case Stmt::Kind::If:
+      for (const StmtPtr &C : S.Body)
+        scanStmt(*C, Root);
+      for (const StmtPtr &C : S.ElseBody)
+        scanStmt(*C, Root);
+      break;
     case Stmt::Kind::Barrier:
       break;
     }
@@ -309,10 +316,13 @@ private:
   }
 
   void claimLoopVars(const Stmt &S) {
-    if (S.K != Stmt::Kind::Loop)
-      return;
-    Names.setVar(S.LoopVar->getVarId(), Names.claim(S.LoopVar->getVarName()));
+    // The branches of a versioned fill share their loop variables.
+    if (S.K == Stmt::Kind::Loop && !Names.hasVar(S.LoopVar->getVarId()))
+      Names.setVar(S.LoopVar->getVarId(),
+                   Names.claim(S.LoopVar->getVarName()));
     for (const StmtPtr &C : S.Body)
+      claimLoopVars(*C);
+    for (const StmtPtr &C : S.ElseBody)
       claimLoopVars(*C);
   }
 
@@ -325,6 +335,7 @@ private:
 
   std::string renderIndex(const AExpr &E) const;
   std::string renderExpr(const KExpr &E) const;
+  std::string renderChecks(const std::vector<BoundsCheck> &Checks) const;
   void printDecl(int BufId);
   void printRegDecl(int RegId);
   void printStmt(const Stmt &S);
@@ -409,21 +420,24 @@ std::string Printer::renderExpr(const KExpr &E) const {
     }
     return S + ")";
   }
-  case KExpr::Kind::Select: {
-    std::string Cond;
-    for (std::size_t I = 0; I != E.Checks.size(); ++I) {
-      const BoundsCheck &C = E.Checks[I];
-      if (I)
-        Cond += " && ";
-      std::string Idx = renderIndex(C.Idx);
-      Cond += "(" + renderIndex(C.Lo) + " <= " + Idx + " && " + Idx + " < " +
-              renderIndex(C.Hi) + ")";
-    }
-    return "(" + Cond + " ? " + renderExpr(*E.Then) + " : " +
-           renderExpr(*E.Else) + ")";
-  }
+  case KExpr::Kind::Select:
+    return "(" + renderChecks(E.Checks) + " ? " + renderExpr(*E.Then) +
+           " : " + renderExpr(*E.Else) + ")";
   }
   unreachable("covered switch");
+}
+
+std::string Printer::renderChecks(const std::vector<BoundsCheck> &Checks) const {
+  std::string Cond;
+  for (std::size_t I = 0; I != Checks.size(); ++I) {
+    const BoundsCheck &C = Checks[I];
+    if (I)
+      Cond += " && ";
+    std::string Idx = renderIndex(C.Idx);
+    Cond += "(" + renderIndex(C.Lo) + " <= " + Idx + " && " + Idx + " < " +
+            renderIndex(C.Hi) + ")";
+  }
+  return Cond;
 }
 
 void Printer::printDecl(int BufId) {
@@ -463,6 +477,17 @@ void Printer::printStmt(const Stmt &S) {
     // runs — both here and on the simulator — so the barrier is
     // structural and compiles to nothing.
     line("/* work-group barrier: implicit (loop completed) */");
+    return;
+  case Stmt::Kind::If:
+    line("if (" + renderChecks(S.Checks) + ") {");
+    ++Indent;
+    printStmts(S.Body);
+    --Indent;
+    line("} else {");
+    ++Indent;
+    printStmts(S.ElseBody);
+    --Indent;
+    line("}");
     return;
   case Stmt::Kind::Loop:
     break;
@@ -625,11 +650,16 @@ std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
   };
   // The loops of \p Body grouped as regions see them: a split innermost
   // loop (edge, Simd interior, edge; analysis/InteriorSpec.h) is one
-  // group, every other loop its own.
+  // group, a versioned tile fill (If) is one group, every other loop
+  // its own.
   auto GroupLoops = [&](const std::vector<StmtPtr> &Body) {
     std::vector<std::vector<const Stmt *>> Groups;
     for (std::size_t I = 0; I != Body.size(); ++I) {
       const Stmt &S = *Body[I];
+      if (S.K == Stmt::Kind::If) {
+        Groups.push_back({&S});
+        continue;
+      }
       if (S.K != Stmt::Kind::Loop)
         continue;
       bool Split = I + 2 < Body.size() && S.LK == LoopKind::Glb &&
@@ -650,9 +680,14 @@ std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
   std::vector<KernelRegion> Out;
   std::unordered_set<std::string> UsedNames;
   auto Add = [&](std::vector<const Stmt *> Loops) {
+    // A versioned fill is named after its general (else) branch, which
+    // is the fill of the unversioned kernel.
+    const Stmt *Named = Loops.front();
+    while (Named->K == Stmt::Kind::If)
+      Named = Named->ElseBody.front().get();
     KernelRegion R;
-    R.Kind = loopKindName(Loops.front()->LK);
-    std::string Base = R.Kind + "." + Loops.front()->LoopVar->getVarName();
+    R.Kind = loopKindName(Named->LK);
+    std::string Base = R.Kind + "." + Named->LoopVar->getVarName();
     R.Name = Base;
     for (unsigned N = 2; !UsedNames.insert(R.Name).second; ++N)
       R.Name = Base + "_" + std::to_string(N);

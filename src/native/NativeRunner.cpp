@@ -137,17 +137,46 @@ int runCommand(const std::string &Command, std::string &Output) {
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
+/// True when \p Compiler accepts -march=native. Probed once per
+/// compiler per process by compiling an empty translation unit (about
+/// 15 ms); compilers that reject the flag keep the baseline ISA.
+bool acceptsHostIsa(const std::string &Compiler) {
+  static std::mutex M;
+  static std::unordered_map<std::string, bool> *Known =
+      new std::unordered_map<std::string, bool>(); // leaked like the registries
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = Known->find(Compiler);
+  if (It != Known->end())
+    return It->second;
+  std::string Diag;
+  bool Ok = runCommand(shellQuote(Compiler) +
+                           " -march=native -x c -c -o /dev/null /dev/null",
+                       Diag) == 0;
+  Known->emplace(Compiler, Ok);
+  return Ok;
+}
+
+/// The flags of one compile of \p O with \p Compiler (see
+/// compileCommand).
+std::string compileFlags(const std::string &Compiler, const NativeOptions &O,
+                         bool WithOpenMP) {
+  std::string Flags = "-O" + std::to_string(O.OptLevel);
+  if (acceptsHostIsa(Compiler))
+    Flags += " -march=native";
+  Flags += " -fPIC -shared -ffp-contract=off";
+  if (WithOpenMP)
+    Flags += " -fopenmp";
+  return Flags;
+}
+
 /// One compile attempt; returns the compiler exit code.
 int invokeCompiler(const std::string &Compiler, const std::string &Src,
                    const std::string &Obj, const NativeOptions &O,
                    bool WithOpenMP, std::string &Diag) {
-  std::string Cmd = shellQuote(Compiler) + " -O" +
-                    std::to_string(O.OptLevel) +
-                    " -fPIC -shared -ffp-contract=off";
-  if (WithOpenMP)
-    Cmd += " -fopenmp";
-  Cmd += " -o " + shellQuote(Obj) + " " + shellQuote(Src) + " -lm";
-  return runCommand(Cmd, Diag);
+  return runCommand(shellQuote(Compiler) + " " +
+                        compileFlags(Compiler, O, WithOpenMP) + " -o " +
+                        shellQuote(Obj) + " " + shellQuote(Src) + " -lm",
+                    Diag);
 }
 
 /// Loads the OpenMP runtime once per process and pins it. Kernels are
@@ -204,6 +233,11 @@ std::string lift::native::findCompiler(const NativeOptions &O) {
   throw CompilerNotFoundError(
       "native backend: no host C compiler found (tried $LIFT_NATIVE_CC, "
       "$CC, cc, gcc, clang); set LIFT_NATIVE_CC or install one");
+}
+
+std::string lift::native::compileCommand(const NativeOptions &O) {
+  std::string Compiler = findCompiler(O);
+  return Compiler + " " + compileFlags(Compiler, O, O.OpenMP);
 }
 
 NativeKernel::NativeKernel(void *Handle, void *Sym, bool Profiled,
@@ -329,7 +363,9 @@ struct KernelCache::Entry {
   std::mutex M;
   std::condition_variable CV;
   bool Ready = false;
-  std::string Source; ///< first level: resolves lowered-hash collisions
+  /// First level: compile command + emitted source, resolving
+  /// lowered-hash collisions.
+  std::string Key;
   NativeKernelPtr Kernel;
   std::string Error; ///< non-empty: cached compile failure
 
@@ -355,13 +391,14 @@ KernelCache &KernelCache::global() {
 }
 
 void KernelCache::compileSpecialized(const ocl::Kernel &K,
-                                     const NativeOptions &O, Entry &Out) {
+                                     const NativeOptions &O,
+                                     const std::string &Command, Entry &Out) {
   std::string Source = emitNativeC(K, O);
   std::shared_ptr<Entry> E;
   bool Owner = false;
   {
     std::lock_guard<std::mutex> Lock(M);
-    std::shared_ptr<Entry> &Slot = BySource[Source];
+    std::shared_ptr<Entry> &Slot = BySource[Command + '\n' + Source];
     if (!Slot) {
       Slot = std::make_shared<Entry>();
       Owner = true;
@@ -387,7 +424,8 @@ void KernelCache::compileSpecialized(const ocl::Kernel &K,
 NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
                                           const ocl::Kernel &K,
                                           const NativeOptions &O) {
-  std::string Source = emitC(K, emitOptions(O));
+  std::string Command = compileCommand(O);
+  std::string Key = Command + '\n' + emitC(K, emitOptions(O));
 
   std::shared_ptr<Entry> E;
   bool Owner = false;
@@ -395,7 +433,7 @@ NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
     std::lock_guard<std::mutex> Lock(M);
     auto Range = Map.equal_range(LoweredHash);
     for (auto It = Range.first; It != Range.second; ++It)
-      if (It->second->Source == Source) {
+      if (It->second->Key == Key) {
         E = It->second;
         break;
       }
@@ -405,7 +443,7 @@ NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
       ++Misses;
       Owner = true;
       E = std::make_shared<Entry>();
-      E->Source = Source;
+      E->Key = std::move(Key);
       Map.emplace(LoweredHash, E);
     }
   }
@@ -414,7 +452,7 @@ NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
       .inc();
 
   if (Owner)
-    compileSpecialized(K, O, *E);
+    compileSpecialized(K, O, Command, *E);
   else
     E->wait();
   if (!E->Kernel)
@@ -488,6 +526,7 @@ BoundRun bindRun(const codegen::Compiled &C,
   if (Inputs.size() != C.InputBufferIds.size())
     fatalError("runNative: input count mismatch");
   const Kernel &K = C.K;
+  checkLaunchExtents(K, Sizes);
   BoundRun R;
   R.FloatStore.resize(K.Buffers.size());
   R.IntStore.resize(K.Buffers.size());

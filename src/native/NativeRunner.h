@@ -8,9 +8,10 @@
 /// \file
 /// The native execution backend: takes a compiled kernel AST, splits
 /// its innermost grid loops into edge loops and a clamp-free,
-/// vectorizable interior (specializeForNative), emits C
-/// (native/CEmitter.h), invokes the host C compiler on it in a private
-/// temp directory, dlopen()s the resulting shared object and runs the
+/// vectorizable interior and versions its tile fills
+/// (specializeForNative), emits C (native/CEmitter.h), invokes the host
+/// C compiler on it for the host ISA in a private temp directory,
+/// dlopen()s the resulting shared object and runs the
 /// entry point with the same buffer/size conventions as the simulator
 /// runner (codegen/Runner.h). This is the "real hardware" leg the
 /// paper measured on GPUs, reproduced on the host CPU: the simulator
@@ -112,6 +113,16 @@ struct NativeOptions {
 /// CompilerNotFoundError when nothing usable exists.
 std::string findCompiler(const NativeOptions &O = {});
 
+/// The resolved compiler and the flags compileCSource passes it for
+/// \p O, e.g. "/usr/bin/cc -O2 -march=native -fPIC -shared
+/// -ffp-contract=off -fopenmp". Every kernel is compiled for the host
+/// ISA when the compiler accepts -march=native (probed once per
+/// compiler); -ffp-contract=off keeps results bit-identical with the
+/// simulator (no FMA contraction, and without -ffast-math no vector
+/// math library). Part of the kernel-cache key and of bench
+/// provenance. Throws CompilerNotFoundError like findCompiler.
+std::string compileCommand(const NativeOptions &O = {});
+
 /// Compiles and loads a trivial translation unit, verifying the whole
 /// toolchain path (compiler, shared objects, dlopen) works. Throws a
 /// NativeError subclass describing the first broken step.
@@ -165,9 +176,10 @@ NativeKernelPtr compileCSource(const std::string &Source,
 
 /// The kernel AST the native backend compiles for \p K: the innermost
 /// grid loop of every eligible loop nest split into edge loops and a
-/// clamp-free, vectorizable interior (analysis/InteriorSpec.h). Kernels
-/// the split does not apply to (tiled local-memory kernels) come back
-/// unchanged. Idempotent.
+/// clamp-free, vectorizable interior, and every tile fill of a tiled
+/// local-memory kernel versioned into a clamp-free, vectorizable fill
+/// for tiles inside the grid and the general fill for edge tiles
+/// (analysis/InteriorSpec.h). Idempotent.
 ocl::Kernel specializeForNative(const ocl::Kernel &K,
                                 analysis::SpecStats *Stats = nullptr);
 
@@ -186,6 +198,10 @@ NativeKernelPtr compileKernel(const ocl::Kernel &K,
 
 /// Process-wide cache of compiled kernels, in two levels.
 ///
+/// Both levels key on the compile command (compileCommand: compiler,
+/// optimization level, ISA flag, OpenMP), so a request with other
+/// compile options never gets a binary built with different flags.
+///
 /// The first level is keyed on the *lowered* program's structural hash
 /// (ir/StructuralHash.h) plus the emitted source of the kernel as
 /// given. Alpha-equivalent lowerings have identical positional ABIs
@@ -197,7 +213,8 @@ NativeKernelPtr compileKernel(const ocl::Kernel &K,
 /// never re-runs specialization.
 ///
 /// On a first-level miss the kernel is specialized (emitNativeC) and
-/// looked up in the second level, keyed on that final C source. Kernels
+/// looked up in the second level, keyed on that final C source (and
+/// the compile command). Kernels
 /// that specialize to identical source — a kernel and its already
 /// specialized form, say — therefore compile once.
 ///
@@ -211,9 +228,10 @@ class KernelCache {
 public:
   static KernelCache &global();
 
-  /// Returns the cached kernel for (\p LoweredHash, emitted source of
-  /// \p K), compiling emitNativeC(\p K, \p O) on first use. Throws
-  /// NativeError on (possibly cached) compile failure.
+  /// Returns the cached kernel for (\p LoweredHash, compile command of
+  /// \p O, emitted source of \p K), compiling emitNativeC(\p K, \p O)
+  /// on first use. Throws NativeError on (possibly cached) compile
+  /// failure, CompilerNotFoundError uncached.
   NativeKernelPtr getOrCompile(std::uint64_t LoweredHash,
                                const ocl::Kernel &K,
                                const NativeOptions &O = {});
@@ -228,7 +246,7 @@ private:
   /// First-level miss: specializes \p K, resolves the second level and
   /// publishes its kernel (or error) into \p Out.
   void compileSpecialized(const ocl::Kernel &K, const NativeOptions &O,
-                          Entry &Out);
+                          const std::string &Command, Entry &Out);
 
   mutable std::mutex M;
   std::unordered_multimap<std::uint64_t, std::shared_ptr<Entry>> Map;
@@ -255,7 +273,8 @@ struct NativeRunResult {
 /// hardware threads). Executes \p Warmup + \p Repeats times on the
 /// same buffers and reports the fastest repeat; timed sections are
 /// serialized process-wide so concurrent measurements cannot
-/// contaminate each other.
+/// contaminate each other. Throws RecoverableError when \p Sizes are
+/// below one of the kernel's MinExtents (ocl::checkLaunchExtents).
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,
                           const std::vector<std::vector<float>> &Inputs,

@@ -97,6 +97,17 @@ private:
     case Stmt::Kind::Barrier:
       line("barrier(CLK_LOCAL_MEM_FENCE);");
       return;
+    case Stmt::Kind::If:
+      line("if (" + printChecks(S.Checks) + ") {");
+      ++Indent;
+      printStmts(S.Body);
+      --Indent;
+      line("} else {");
+      ++Indent;
+      printStmts(S.ElseBody);
+      --Indent;
+      line("}");
+      return;
     case Stmt::Kind::Loop: {
       std::string V = S.LoopVar->getVarName();
       std::string N = S.Count->toString();
@@ -133,6 +144,18 @@ private:
     unreachable("covered switch");
   }
 
+  static std::string printChecks(const std::vector<BoundsCheck> &Checks) {
+    std::string Cond;
+    for (std::size_t I = 0, N = Checks.size(); I != N; ++I) {
+      const BoundsCheck &C = Checks[I];
+      if (I != 0)
+        Cond += " && ";
+      Cond += "(" + C.Idx->toString() + " >= " + C.Lo->toString() + " && " +
+              C.Idx->toString() + " < " + C.Hi->toString() + ")";
+    }
+    return Cond;
+  }
+
   std::string printExpr(const KExpr &E) {
     switch (E.K) {
     case KExpr::Kind::ConstScalar:
@@ -161,18 +184,9 @@ private:
       }
       return S + ")";
     }
-    case KExpr::Kind::Select: {
-      std::string Cond;
-      for (std::size_t I = 0, N = E.Checks.size(); I != N; ++I) {
-        const BoundsCheck &C = E.Checks[I];
-        if (I != 0)
-          Cond += " && ";
-        Cond += "(" + C.Idx->toString() + " >= " + C.Lo->toString() +
-                " && " + C.Idx->toString() + " < " + C.Hi->toString() + ")";
-      }
-      return "((" + Cond + ") ? " + printExpr(*E.Then) + " : " +
-             printExpr(*E.Else) + ")";
-    }
+    case KExpr::Kind::Select:
+      return "((" + printChecks(E.Checks) + ") ? " + printExpr(*E.Then) +
+             " : " + printExpr(*E.Else) + ")";
     }
     unreachable("covered switch");
   }

@@ -57,8 +57,8 @@ class KExpr;
 using KExprPtr = std::shared_ptr<const KExpr>;
 
 /// A conjunction of half-open bounds checks Lo <= Idx < Hi, used by
-/// Select for constant-padding: out-of-bounds lanes read the constant
-/// instead of memory.
+/// Select for constant-padding (out-of-bounds lanes read the constant
+/// instead of memory) and by the If statement's guard.
 struct BoundsCheck {
   AExpr Idx;
   AExpr Lo;
@@ -117,6 +117,7 @@ public:
     AssignVar, ///< reg = value
     Loop,      ///< for-loop (sequential or NDRange-mapped)
     Barrier,   ///< work-group barrier
+    If,        ///< Body when every check holds, ElseBody otherwise
   };
 
   Kind K = Kind::Store;
@@ -133,10 +134,19 @@ public:
   AExpr LoopVar;          ///< the ArithExpr Var bound per iteration
   AExpr Count;            ///< iteration count (loop runs 0..Count-1)
   bool Unroll = false;    ///< unrolled by the emitter (reduceSeqUnroll)
-  /// Clamp-free interior of a split grid loop (analysis/InteriorSpec.h):
-  /// the C emitter may mark it `#pragma omp simd`.
+  /// Independent lanes found by analysis/InteriorSpec.h (the clamp-free
+  /// interior of a split grid loop, the innermost loop of a clean tile
+  /// fill or of a tiled compute nest): the C emitter may mark it
+  /// `#pragma omp simd`.
   bool Simd = false;
-  std::vector<StmtPtr> Body;
+  std::vector<StmtPtr> Body; ///< Loop body / If then-branch
+
+  // If: a guarded statement. The native backend's tile-fill versioning
+  // (analysis/InteriorSpec.h) is its only producer: both branches then
+  // compute the same function, the then-branch specialized under the
+  // guard's facts.
+  std::vector<BoundsCheck> Checks; ///< conjunction, as in Select
+  std::vector<StmtPtr> ElseBody;
 };
 
 StmtPtr sStore(int BufferId, AExpr Index, KExprPtr Value);
@@ -145,6 +155,17 @@ StmtPtr sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
               std::vector<StmtPtr> Body, bool Unroll = false,
               bool Simd = false);
 StmtPtr sBarrier();
+StmtPtr sIf(std::vector<BoundsCheck> Checks, std::vector<StmtPtr> Then,
+            std::vector<StmtPtr> Else);
+
+/// A launch precondition: the size expression Extent must be at least
+/// Min. The code generator records one per clamped slide/join over a
+/// symbolic extent (a clamped tiling's last tile starts at n - tile, so
+/// an axis shorter than one tile would index before the buffer).
+struct MinExtent {
+  AExpr Extent;
+  std::int64_t Min = 0;
+};
 
 /// A complete kernel: declarations plus a statement list. The NDRange
 /// shape is implicit in the loop structure (Glb/Wrg/Lcl loop counts);
@@ -160,6 +181,8 @@ struct Kernel {
   std::vector<std::pair<unsigned, std::string>> SizeArgs;
   /// User functions referenced by the body (for emission).
   std::vector<ir::UserFunPtr> UserFuns;
+  /// Launch preconditions (checkLaunchExtents in ocl/Sim.h).
+  std::vector<MinExtent> MinExtents;
 
   int outputBufferId() const;
   const BufferDecl &buffer(int Id) const { return Buffers[std::size_t(Id)]; }

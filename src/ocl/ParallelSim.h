@@ -129,7 +129,10 @@ private:
     int Slot = -1;
     int CountProg = -1;
     bool Unroll = false;
-    std::vector<PStmt> Body;
+    std::vector<PStmt> Body; ///< Loop body / If then-branch
+    // If
+    std::vector<PExpr::PCheck> Checks;
+    std::vector<PStmt> ElseBody;
   };
 
   /// One flattened level of a parallel (Wrg/Glb) loop nest.

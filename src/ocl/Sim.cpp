@@ -107,6 +107,20 @@ Executor::Executor(const Kernel &K, const SizeEnv &Sizes,
   CacheTags.assign(std::size_t(CacheSets * Cache.Ways), -1);
 }
 
+void lift::ocl::checkLaunchExtents(const Kernel &K, const SizeEnv &Sizes) {
+  for (const MinExtent &M : K.MinExtents) {
+    std::int64_t N = M.Extent->evaluate(Sizes);
+    if (N >= M.Min)
+      continue;
+    throw RecoverableError(
+        "kernel '" + K.Name + "': axis " + M.Extent->toString() + " = " +
+        std::to_string(N) + " is shorter than its tile of " +
+        std::to_string(M.Min) + "; this tiling was lowered for extents >= " +
+        std::to_string(M.Min) +
+        " (lower with LoweringOptions::OutputExtents to clamp the tile)");
+  }
+}
+
 void Executor::bindInput(int BufferId, const std::vector<float> &Data) {
   BufferStorage &B = Buffers[std::size_t(BufferId)];
   if (B.Kind == ScalarKind::Float) {
@@ -177,6 +191,16 @@ void Executor::execStmt(const Stmt &S) {
     return;
   case Stmt::Kind::Barrier:
     ++Counters.Barriers;
+    return;
+  case Stmt::Kind::If:
+    for (const BoundsCheck &C : S.Checks) {
+      std::int64_t I = evalIndex(C.Idx);
+      if (I < evalIndex(C.Lo) || I >= evalIndex(C.Hi)) {
+        execStmts(S.ElseBody);
+        return;
+      }
+    }
+    execStmts(S.Body);
     return;
   case Stmt::Kind::Loop: {
     std::int64_t Extent = evalIndex(S.Count);

@@ -84,6 +84,14 @@ struct NDRangeInfo {
 /// Computes the exact-fit NDRange shape of \p K under \p Sizes.
 NDRangeInfo analyzeNDRange(const Kernel &K, const SizeEnv &Sizes);
 
+/// Throws RecoverableError when \p Sizes violate one of \p K's
+/// MinExtents, naming the axis, its extent and the tile. Every runner
+/// (codegen::runCompiled, native::runNative) checks before it touches
+/// memory, so a tiling lowered at symbolic extents and launched on an
+/// axis shorter than its tile fails cleanly instead of loading out of
+/// bounds.
+void checkLaunchExtents(const Kernel &K, const SizeEnv &Sizes);
+
 /// Adds one execution's counters into the global metrics registry
 /// (obs/Metrics.h) under \p Prefix (e.g. "sim." -> "sim.global_loads").
 /// Used by the runner for whole-process roll-ups and by the tuner for

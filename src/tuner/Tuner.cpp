@@ -542,13 +542,25 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // Stage 2, measured objective only: time the prepared candidates one
   // by one in enumeration order. Stage 1 has finished, so no host
   // compile (or simulation) competes with a timed run for the CPU.
-  // Every candidate is timed individually: wall clock is never memoized.
+  // Each distinct binary is timed once per sweep: candidates that share
+  // a kernel (work-group-size variants of one lowering; the launch size
+  // is not part of the emitted C) share its first candidate's time, so
+  // the argmin below breaks their tie to the first in enumeration order
+  // instead of ranking them by timer noise.
   if (Measured) {
     auto MeasureEnv = makeSizeEnv(P.Instance, P.Measure);
+    std::unordered_map<const native::NativeKernel *, std::size_t> TimedBy;
     for (std::size_t I = 0; I != Candidates.size(); ++I) {
       Evaluated &E = Evals[I];
       if (!E.Valid)
         continue;
+      auto [Prev, First] = TimedBy.emplace(Slots[I].Kern.get(), I);
+      if (!First) {
+        E.MeasuredSeconds = Evals[Prev->second].MeasuredSeconds;
+        E.MeasuredGElemsPerSec = Evals[Prev->second].MeasuredGElemsPerSec;
+        Recs[I].MeasuredTime = E.MeasuredSeconds;
+        continue;
+      }
       auto T0 = std::chrono::steady_clock::now();
       E.MeasuredSeconds =
           native::runNative(Slots[I].C, *Slots[I].Kern, P.Inputs, MeasureEnv,

@@ -157,7 +157,9 @@ struct TuneOptions {
   /// pruned as "native-compile-failed". A measured sweep runs in two
   /// stages: every candidate is lowered, simulated and compiled on the
   /// Jobs workers, then the valid ones are timed one at a time in
-  /// enumeration order, so no compile overlaps a timed run.
+  /// enumeration order, so no compile overlaps a timed run. Each
+  /// distinct binary is timed once; candidates sharing it share the
+  /// time (and ties go to the first in enumeration order).
   Objective Obj = Objective::Modeled;
   /// Measured objective only: OpenMP threads per native run
   /// (0 = all hardware threads), untimed warmup executions, and timed

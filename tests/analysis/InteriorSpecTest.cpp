@@ -95,10 +95,9 @@ bool hasBoundaryOpOn(const AExpr &E, unsigned Id) {
   return false;
 }
 
-/// True when no index, count or pad guard under \p Loop carries
-/// boundary arithmetic on the loop's own variable.
-bool clampFree(const ocl::Stmt &Loop) {
-  unsigned Id = Loop.LoopVar->getVarId();
+/// True when no index, count or pad guard under \p Body carries
+/// boundary arithmetic on variable \p Id.
+bool clampFreeOn(const std::vector<ocl::StmtPtr> &Body, unsigned Id) {
   auto Mentions = [&](const AExpr &E) {
     std::vector<unsigned> Vars;
     if (E)
@@ -128,10 +127,64 @@ bool clampFree(const ocl::Stmt &Loop) {
         return false;
     return true;
   };
-  for (const ocl::StmtPtr &S : Loop.Body)
+  for (const ocl::StmtPtr &S : Body)
     if (!Stmt(*S))
       return false;
   return true;
+}
+
+/// True when no index, count or pad guard under \p Loop carries
+/// boundary arithmetic on the loop's own variable.
+bool clampFree(const ocl::Stmt &Loop) {
+  return clampFreeOn(Loop.Body, Loop.LoopVar->getVarId());
+}
+
+rewrite::LoweringOptions tiled16Local() {
+  rewrite::LoweringOptions O;
+  O.Tile = true;
+  O.TileOutputs = 16;
+  O.UseLocalMem = true;
+  return O;
+}
+
+/// The innermost Wrg loop of \p K (the work-group loop whose body holds
+/// the tile fill and the compute nest), or nullptr.
+const ocl::Stmt *innermostWrg(const ocl::Kernel &K) {
+  const ocl::Stmt *Found = nullptr;
+  std::function<void(const ocl::Stmt &)> Walk = [&](const ocl::Stmt &S) {
+    if (S.K != ocl::Stmt::Kind::Loop)
+      return;
+    if (S.LK == ocl::LoopKind::Wrg)
+      Found = &S;
+    for (const ocl::StmtPtr &C : S.Body)
+      Walk(*C);
+  };
+  for (const ocl::StmtPtr &S : K.Body)
+    Walk(*S);
+  return Found;
+}
+
+/// True when the innermost Lcl loops under \p Body (a reduction's Seq
+/// loop may sit inside one) all carry Simd.
+bool innermostLoopsSimd(const std::vector<ocl::StmtPtr> &Body) {
+  auto IsLcl = [](const ocl::StmtPtr &S) {
+    return S->K == ocl::Stmt::Kind::Loop && S->LK == ocl::LoopKind::Lcl;
+  };
+  bool Ok = true;
+  std::function<void(const ocl::Stmt &)> Walk = [&](const ocl::Stmt &S) {
+    bool Nested = false;
+    for (const ocl::StmtPtr &C : S.Body)
+      if (IsLcl(C)) {
+        Nested = true;
+        Walk(*C);
+      }
+    if (!Nested)
+      Ok &= S.Simd;
+  };
+  for (const ocl::StmtPtr &S : Body)
+    if (IsLcl(S))
+      Walk(*S);
+  return Ok;
 }
 
 TEST(InteriorSpec, SplitsEveryUntiledBenchmarkGridLoop) {
@@ -185,19 +238,22 @@ Lowered lowerIterated(const stencil::Benchmark &B, int Steps) {
 
 TEST(InteriorSpec, SecondPassIsIdentity) {
   // The native backend specializes every kernel it compiles, including
-  // kernels a caller already specialized: a second pass must split
-  // nothing and emit byte-identical C.
+  // kernels a caller already specialized: a second pass must split and
+  // version nothing and emit byte-identical C -- for the untiled
+  // kernels, the iterated kernel and the 14 tiled16-local kernels.
   std::vector<Lowered> Kernels;
-  for (const stencil::Benchmark &B : stencil::allBenchmarks())
+  for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
     Kernels.push_back(lower(B));
+    Kernels.push_back(lower(B, tiled16Local()));
+  }
   Kernels.push_back(
       lowerIterated(stencil::findBenchmark("Jacobi2D5pt"), 8));
   for (const Lowered &L : Kernels) {
     SpecStats First, Second;
     ocl::Kernel Once = specializeInterior(L.C.K, &First);
     ocl::Kernel Twice = specializeInterior(Once, &Second);
-    EXPECT_GT(First.LoopsSplit, 0u) << L.C.K.Name;
-    EXPECT_EQ(Second.LoopsSplit, 0u) << L.C.K.Name;
+    EXPECT_TRUE(First.changed()) << L.C.K.Name;
+    EXPECT_FALSE(Second.changed()) << L.C.K.Name;
     EXPECT_EQ(Second.SelectsResolved, 0u) << L.C.K.Name;
     EXPECT_EQ(native::emitC(Twice), native::emitC(Once)) << L.C.K.Name;
   }
@@ -228,18 +284,66 @@ TEST(InteriorSpec, BitIdenticalOnDegenerateGrids) {
   }
 }
 
-TEST(InteriorSpec, LeavesTiledLocalKernelsAlone) {
-  // Local-memory staging uses barriers and Wrg/Lcl loops; the split is
-  // not applicable and the kernel must come back unchanged.
-  const stencil::Benchmark &B = stencil::findBenchmark("Jacobi2D5pt");
-  rewrite::LoweringOptions O;
-  O.Tile = true;
-  O.UseLocalMem = true;
-  Lowered L = lower(B, O);
-  SpecStats S;
-  ocl::Kernel K = specializeInterior(L.C.K, &S);
-  EXPECT_EQ(S.LoopsSplit, 0u);
-  EXPECT_EQ(K.Registers.size(), L.C.K.Registers.size());
+TEST(InteriorSpec, VersionsEveryTiledLocalFill) {
+  // tiled16-local of every benchmark: no grid loop splits (there are
+  // none), but each tile fill in the innermost work-group loop becomes
+  //   if (1 <= w < tiles - M) clean fill else original fill
+  // whose then-branch is clamp-free on the work-group variable w with
+  // Simd innermost loops, while the else-branch keeps the clamps. The
+  // compute nest stays one copy with a Simd innermost loop.
+  for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
+    Lowered L = lower(B, tiled16Local());
+    SpecStats S;
+    ocl::Kernel K = specializeInterior(L.C.K, &S);
+    EXPECT_EQ(S.LoopsSplit, 0u) << B.Name;
+    EXPECT_GE(S.FillsVersioned, 1u) << B.Name;
+    const ocl::Stmt *Wrg = innermostWrg(K);
+    ASSERT_NE(Wrg, nullptr) << B.Name;
+    unsigned W = Wrg->LoopVar->getVarId();
+    unsigned Guards = 0, Computes = 0;
+    for (const ocl::StmtPtr &C : Wrg->Body) {
+      if (C->K == ocl::Stmt::Kind::If) {
+        ++Guards;
+        ASSERT_EQ(C->Checks.size(), 1u) << B.Name;
+        EXPECT_EQ(C->Checks[0].Idx, Wrg->LoopVar) << B.Name;
+        EXPECT_TRUE(C->Checks[0].Lo->isCst(1)) << B.Name;
+        EXPECT_TRUE(clampFreeOn(C->Body, W)) << B.Name;
+        EXPECT_FALSE(clampFreeOn(C->ElseBody, W)) << B.Name;
+        EXPECT_TRUE(innermostLoopsSimd(C->Body)) << B.Name;
+      } else if (C->K == ocl::Stmt::Kind::Loop) {
+        ++Computes;
+        EXPECT_TRUE(innermostLoopsSimd({C})) << B.Name;
+      }
+    }
+    EXPECT_EQ(Guards, S.FillsVersioned) << B.Name;
+    EXPECT_GE(Computes, 1u) << B.Name;
+  }
+}
+
+TEST(InteriorSpec, VersionedFillsBitIdenticalOnRaggedGrids) {
+  // Both simulators execute the guarded fill. The innermost extent 49 =
+  // 3 * 16 + 1 puts the last clean tile's halo on the grid edge, the
+  // shape that needs the wider guard for halos of two (Gaussian,
+  // Jacobi3D13pt).
+  for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
+    Lowered L = lower(B, tiled16Local());
+    codegen::Compiled Spec = L.C;
+    Spec.K = specializeInterior(L.C.K);
+    stencil::Extents E = B.SmallExtents.size() == 3
+                             ? stencil::Extents{17, 18, 49}
+                             : stencil::Extents{19, 49};
+    auto Env = stencil::makeSizeEnv(L.I, E);
+    auto Inputs = stencil::makeBenchmarkInputs(B, E);
+    auto Ref = codegen::runCompiled(L.C, Inputs, Env);
+    auto Got = codegen::runCompiled(Spec, Inputs, Env, ocl::CacheConfig(),
+                                    /*Jobs=*/2);
+    ASSERT_EQ(Ref.Output, Got.Output) << B.Name;
+    ocl::Executor Seq(Spec.K, Env);
+    for (std::size_t I = 0; I != Inputs.size(); ++I)
+      Seq.bindInput(Spec.InputBufferIds[I], Inputs[I]);
+    Seq.run();
+    EXPECT_EQ(Seq.bufferContents(Spec.OutputBufferId), Ref.Output) << B.Name;
+  }
 }
 
 TEST(InteriorSpec, InteriorBodyIsClampFree) {

@@ -6,6 +6,7 @@
 
 #include "analysis/RangeAnalysis.h"
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/CodeGen.h"
 #include "ir/TypeInference.h"
 #include "rewrite/Lowering.h"
@@ -210,6 +211,31 @@ TEST(RangeAnalysis, CheckFactSolvesForInnermostVar) {
   EXPECT_TRUE(provablyInBounds(Shifted, cst(0), N, F));
 }
 
+TEST(RangeAnalysis, TileCountFloorRule) {
+  // Tile index w of nT = 1 + floor((n - 1) / 16) tiles, guarded to the
+  // strictly interior tiles 1 <= w < nT - 1: the clamped tile start
+  // min(n - 16, 16 * w) is 16 * w, because 16 * floor((n - 1) / 16)
+  // <= n - 1 -- at a symbolic n.
+  AExpr N = var("n", Range(1, 1 << 30));
+  AExpr W = var("w");
+  AExpr NT = add(cst(1), floorDiv(sub(N, cst(1)), cst(16)));
+  Facts Loop = Facts().withLoopVar(W, NT);
+  Facts Guard = Loop.withCheckFact(W, cst(1), sub(NT, cst(1)));
+  AExpr Start = amin(sub(N, cst(16)), mul(cst(16), W));
+  EXPECT_TRUE(provablyLE(mul(cst(16), W), sub(N, cst(16)), Guard));
+  EXPECT_TRUE(exprEquals(simplifyWithFacts(Start, Guard), mul(cst(16), W)))
+      << simplifyWithFacts(Start, Guard)->toString();
+  // The last tile is not interior: without the guard the clamp stays.
+  EXPECT_FALSE(provablyLE(mul(cst(16), W), sub(N, cst(16)), Loop));
+  // And a halo of two past the last interior tile is not provable
+  // under 1 <= w < nT - 1 (n = 16k + 1 reaches n), but is under
+  // 1 <= w < nT - 2.
+  AExpr Reach = add(mul(cst(16), W), cst(17));
+  EXPECT_FALSE(provablyLE(Reach, sub(N, cst(1)), Guard));
+  Facts Narrow = Loop.withCheckFact(W, cst(1), sub(NT, cst(2)));
+  EXPECT_TRUE(provablyLE(Reach, sub(N, cst(1)), Narrow));
+}
+
 TEST(RangeAnalysis, JoinKeepsOnlyCommonFacts) {
   AExpr I = var("i");
   Facts A = Facts().withBound(I->getVarId(), cst(0), cst(4));
@@ -269,6 +295,55 @@ TEST(RangeAnalysis, AllBenchmarkKernelsCheckClean) {
     auto V = checkKernelBounds(C.K);
     EXPECT_TRUE(V.empty()) << B.Name << ":\n" << describeViolations(V);
   }
+}
+
+TEST(RangeAnalysis, TiledLocalKernelsCheckCleanAtTargetExtents) {
+  // The kernels the native backend compiles for tiled16-local, with
+  // their versioned fills, at the paper's target grids. Acoustic's
+  // constant-pad fill is guarded per axis by Selects whose facts refine
+  // each local index in terms of its work-group index; proving its
+  // loads needs those refinements kept symbolic.
+  for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
+    stencil::BenchmarkInstance I = B.Build();
+    rewrite::LoweringOptions O;
+    O.Tile = true;
+    O.TileOutputs = 16;
+    O.UseLocalMem = true;
+    O.OutputExtents.assign(B.SmallExtents.begin(), B.SmallExtents.end());
+    ir::Program Low = rewrite::lowerStencil(I.P, O);
+    ASSERT_NE(Low, nullptr) << B.Name;
+    codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+    ocl::Kernel K = specializeInterior(C.K);
+    auto Sizes = stencil::makeSizeEnv(I, B.SmallExtents);
+    auto V = checkKernelBounds(K, &Sizes);
+    EXPECT_TRUE(V.empty()) << B.Name << ":\n" << describeViolations(V);
+  }
+}
+
+TEST(RangeAnalysis, IfGuardIsAFactInItsThenBranch) {
+  // if (1 <= i < n) out[i - 1] = 1 else out[i] = 2, for i < n: the
+  // then-branch store is in bounds only under the guard.
+  AExpr N = var("n", Range(1, 1 << 30));
+  ocl::Kernel K;
+  K.Buffers.push_back({0, "out", ir::ScalarKind::Float,
+                       ocl::MemSpace::Global, N, false, true});
+  AExpr V = var("i");
+  auto Store = [&](AExpr Idx, float X) {
+    return ocl::sStore(0, std::move(Idx), ocl::kConst(ir::Scalar(X)));
+  };
+  K.Body.push_back(ocl::sLoop(
+      ocl::LoopKind::Glb, 0, V, N,
+      {ocl::sIf({{V, cst(1), N}}, {Store(sub(V, cst(1)), 1.0f)},
+                {Store(V, 2.0f)})}));
+  EXPECT_TRUE(checkKernelBounds(K).empty())
+      << describeViolations(checkKernelBounds(K));
+  // The same store in the else-branch is flagged.
+  ocl::Kernel Bad = K;
+  Bad.Body = {ocl::sLoop(
+      ocl::LoopKind::Glb, 0, V, N,
+      {ocl::sIf({{V, cst(1), N}}, {Store(V, 2.0f)},
+                {Store(sub(V, cst(1)), 1.0f)})})};
+  EXPECT_EQ(checkKernelBounds(Bad).size(), 1u);
 }
 
 TEST(RangeAnalysis, CatchesOutOfBoundsStore) {

@@ -138,6 +138,27 @@ TEST(GoldenCEmitter, Jacobi2D5ptGlobalSpecialized) {
   checkGolden("jacobi2d5pt_global_specialized.c", native::emitC(K));
 }
 
+// The tiled form of the specialization: the tile fill versioned into
+// `if (1 <= w < tiles - 1)` with a clamp-free `#pragma omp simd` row
+// loop on the work-group variable, the original fill as the else
+// branch, and one compute nest whose innermost loop is `omp simd`.
+TEST(GoldenCEmitter, Jacobi2D5ptTiledLocalSpecialized) {
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  BenchmarkInstance I = B.Build();
+  LoweringOptions O;
+  O.Tile = true;
+  O.TileOutputs = 16;
+  O.UseLocalMem = true;
+  std::string WhyNot;
+  ir::Program Low = lowerStencil(I.P, O, &WhyNot);
+  ASSERT_TRUE(bool(Low)) << WhyNot;
+  codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+  analysis::SpecStats S;
+  ocl::Kernel K = analysis::specializeInterior(C.K, &S);
+  ASSERT_EQ(S.FillsVersioned, 1u);
+  checkGolden("jacobi2d5pt_tiled_local_specialized.c", native::emitC(K));
+}
+
 // Profile mode as plain C: every loop-nest region wrapped in
 // monotonic-clock accumulation into the lift_prof slot array appended
 // to the ABI, OpenMP suppressed (timers are not thread-safe), and —

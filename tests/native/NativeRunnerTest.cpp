@@ -14,6 +14,7 @@
 #include "codegen/Runner.h"
 #include "ir/StructuralHash.h"
 #include "native/NativeRunner.h"
+#include "obs/Metrics.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
 
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,6 +176,47 @@ TEST(NativeRunner, CacheReturnsIdenticalKernelOnHit) {
   C.clear();
 }
 
+TEST(NativeRunner, CacheKeysOnCompileFlags) {
+  REQUIRE_TOOLCHAIN();
+  // The compile command (compiler, opt level, ISA flag, OpenMP) is part
+  // of both cache levels: the same kernel at two opt levels costs two
+  // compiles, the same options twice cost one.
+  Built B = buildBench("Stencil2D", /*Tiled=*/false);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  obs::Counter &Compiles = obs::Registry::global().counter("native.compiles");
+  std::uint64_t Before = Compiles.value();
+  NativeOptions O2;
+  NativeOptions O0;
+  O0.OptLevel = 0;
+  NativeKernelPtr K2 = C.getOrCompile(B.LowHash, B.C.K, O2);
+  NativeKernelPtr K0 = C.getOrCompile(B.LowHash, B.C.K, O0);
+  EXPECT_NE(K0.get(), K2.get()) << "-O0 request got the -O2 binary";
+  EXPECT_EQ(Compiles.value() - Before, 2u);
+  EXPECT_EQ(C.getOrCompile(B.LowHash, B.C.K, O0).get(), K0.get());
+  EXPECT_EQ(C.getOrCompile(B.LowHash, B.C.K, O2).get(), K2.get());
+  EXPECT_EQ(Compiles.value() - Before, 2u);
+  NativeOptions NoOmp;
+  NoOmp.OpenMP = false;
+  EXPECT_NE(C.getOrCompile(B.LowHash, B.C.K, NoOmp).get(), K2.get());
+  EXPECT_EQ(Compiles.value() - Before, 3u);
+  EXPECT_EQ(C.misses(), 3u);
+  EXPECT_EQ(C.hits(), 2u);
+  C.clear();
+}
+
+TEST(NativeRunner, CompileCommandNamesEveryFlag) {
+  REQUIRE_TOOLCHAIN();
+  NativeOptions O;
+  O.OptLevel = 1;
+  std::string Cmd = compileCommand(O);
+  EXPECT_EQ(Cmd.rfind(findCompiler(O), 0), 0u) << Cmd;
+  for (const char *Flag : {" -O1", " -ffp-contract=off", " -fopenmp"})
+    EXPECT_NE(Cmd.find(Flag), std::string::npos) << Flag << " in " << Cmd;
+  O.OpenMP = false;
+  EXPECT_EQ(compileCommand(O).find("-fopenmp"), std::string::npos);
+}
+
 TEST(NativeRunner, CacheSharesBinaryAcrossKernelsWithEqualFinalSource) {
   REQUIRE_TOOLCHAIN();
   // The backend specializes on a first-level miss, so a kernel and its
@@ -223,19 +266,26 @@ TEST(NativeRunner, ConcurrentRequestsShareOneCompileAcrossLevels) {
 
 TEST(NativeRunner, SpecializedKernelsKeepTheirProfileRegions) {
   // The profiler reads regions off the kernel it was given while the
-  // binary runs its specialized form; the two lists must agree.
-  for (const Benchmark &Bench : allBenchmarks()) {
-    BenchmarkInstance I = Bench.Build();
-    ir::Program Low = rewrite::lowerStencil(I.P, {});
-    ASSERT_TRUE(bool(Low)) << Bench.Name;
-    codegen::Compiled C = codegen::compileProgram(Low, Bench.Name);
-    ocl::Kernel Spec = specializeForNative(C.K);
-    std::vector<KernelRegion> Before = profileRegions(C.K);
-    std::vector<KernelRegion> After = profileRegions(Spec);
-    ASSERT_EQ(After.size(), Before.size()) << Bench.Name;
-    for (std::size_t R = 0; R != Before.size(); ++R)
-      EXPECT_EQ(After[R].Name, Before[R].Name) << Bench.Name;
-  }
+  // binary runs its specialized form; the two lists must agree, for
+  // split untiled kernels and for tiled kernels with a versioned fill.
+  rewrite::LoweringOptions Tiled;
+  Tiled.Tile = true;
+  Tiled.UseLocalMem = true;
+  for (const Benchmark &Bench : allBenchmarks())
+    for (const rewrite::LoweringOptions &LO : {rewrite::LoweringOptions(),
+                                               Tiled}) {
+      BenchmarkInstance I = Bench.Build();
+      ir::Program Low = rewrite::lowerStencil(I.P, LO);
+      ASSERT_TRUE(bool(Low)) << Bench.Name;
+      codegen::Compiled C = codegen::compileProgram(Low, Bench.Name);
+      ocl::Kernel Spec = specializeForNative(C.K);
+      std::vector<KernelRegion> Before = profileRegions(C.K);
+      std::vector<KernelRegion> After = profileRegions(Spec);
+      ASSERT_EQ(After.size(), Before.size()) << Bench.Name << LO.describe();
+      for (std::size_t R = 0; R != Before.size(); ++R)
+        EXPECT_EQ(After[R].Name, Before[R].Name)
+            << Bench.Name << LO.describe();
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -286,6 +336,31 @@ TEST(NativeRunnerDeathTest, UnloadingOpenMPKernelsKeepsTheRuntimeMapped) {
 //===----------------------------------------------------------------------===//
 // Error paths (all RecoverableError subclasses; never asserts)
 //===----------------------------------------------------------------------===//
+
+TEST(NativeRunner, SymbolicTilingRefusesAxisShorterThanItsTile) {
+  // Hotspot3D tiled16-local lowered without OutputExtents assumes every
+  // axis holds a full 16-output tile; its 4-deep measurement grid does
+  // not, and the clamped tail start min(16 * w, n - 16) would load
+  // in0[-49152]. Both runners refuse the launch instead, naming the
+  // axis, its extent and the tile.
+  Built B = buildBench("Hotspot3D", /*Tiled=*/true);
+  ASSERT_FALSE(B.C.K.MinExtents.empty());
+  auto ExpectRefusal = [](const std::function<void()> &Run) {
+    try {
+      Run();
+      ADD_FAILURE() << "launch below the tile was not refused";
+    } catch (const RecoverableError &Ex) {
+      std::string Msg = Ex.what();
+      EXPECT_NE(Msg.find("axis d0 = 4"), std::string::npos) << Msg;
+      EXPECT_NE(Msg.find("tile of 16"), std::string::npos) << Msg;
+    }
+  };
+  ExpectRefusal([&] { codegen::runCompiled(B.C, B.Inputs, B.Sizes); });
+  if (!haveToolchain())
+    return;
+  NativeKernelPtr Kern = compileKernel(B.C.K);
+  ExpectRefusal([&] { runNative(B.C, *Kern, B.Inputs, B.Sizes); });
+}
 
 TEST(NativeRunner, ExplicitBadCompilerPathIsCompilerNotFound) {
   NativeOptions O;

@@ -6,18 +6,25 @@
 // grid extents (no tile size divides them) the tiled + local-memory
 // pipeline must agree bit for bit across
 //
+//   * the interpreter on the high-level program,
 //   * the untiled lowering (the semantic reference),
 //   * the sequential NDRange simulator,
-//   * the compiled, sharded parallel simulator, and
+//   * the compiled, sharded parallel simulator,
+//   * both simulators on the native backend's specialized kernel (the
+//     tile fill versioned into a clean and a general branch), and
 //   * the native C backend (emit, compile, dlopen, run),
 //
-// for every boundary kind (clamp / mirror / wrap / constant). A final
-// case covers the short-axis shape (extent < tile, Hotspot3D's 4-deep
-// z axis) where the per-dimension clamp shrinks the tile to the axis.
+// for every boundary kind (clamp / mirror / wrap / constant). A
+// short-axis case covers the shape extent < tile (Hotspot3D's 4-deep z
+// axis) where the per-dimension clamp shrinks the tile to the axis, and
+// grids of one, two and three tiles along the innermost axis cover the
+// tile-fill guard 1 <= w < tiles - 1: never taken, never taken, taken
+// for the middle tile only.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Runner.h"
+#include "interp/Interpreter.h"
 #include "native/NativeRunner.h"
 #include "rewrite/Lowering.h"
 #include "stencil/StencilOps.h"
@@ -104,6 +111,18 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
   std::vector<float> Ref =
       codegen::runCompiled(RefC, F.Inputs, F.Sizes).Output;
 
+  interp::Value In =
+      Ext.size() == 2
+          ? interp::makeFloatArray2D(F.Inputs[0], std::size_t(Ext[0]),
+                                     std::size_t(Ext[1]))
+          : interp::makeFloatArray3D(F.Inputs[0], std::size_t(Ext[0]),
+                                     std::size_t(Ext[1]),
+                                     std::size_t(Ext[2]));
+  std::vector<float> Interp;
+  interp::flattenValue(interp::evalProgram(F.P, {In}, F.Sizes), Interp);
+  EXPECT_TRUE(bitIdentical(Interp, Ref))
+      << What << ": untiled reference diverged from the interpreter";
+
   rewrite::LoweringOptions O;
   O.Tile = true;
   O.TileOutputs = Tile;
@@ -130,6 +149,23 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
           .Output;
   EXPECT_TRUE(bitIdentical(Par, Ref))
       << What << ": parallel sim diverged from untiled reference";
+
+  // The kernel the native backend compiles, on both simulators: they
+  // execute its guarded tile fill like the emitted C does.
+  codegen::Compiled Spec = C;
+  Spec.K = native::specializeForNative(C.K);
+  ocl::Executor SpecEx(Spec.K, F.Sizes);
+  for (std::size_t I = 0; I != F.Inputs.size(); ++I)
+    SpecEx.bindInput(Spec.InputBufferIds[I], F.Inputs[I]);
+  SpecEx.run();
+  EXPECT_TRUE(bitIdentical(SpecEx.bufferContents(Spec.OutputBufferId), Ref))
+      << What << ": sequential sim of the specialized kernel diverged";
+  EXPECT_TRUE(bitIdentical(codegen::runCompiled(Spec, F.Inputs, F.Sizes,
+                                                ocl::CacheConfig(),
+                                                /*Jobs=*/4)
+                               .Output,
+                           Ref))
+      << What << ": parallel sim of the specialized kernel diverged";
 
   if (!haveToolchain())
     return; // sim cross-check still ran; native needs a host compiler
@@ -165,6 +201,16 @@ TEST(RemainderTileDiff, ConstantBoundaryPrimeGrid) {
 // short axis instead of refusing the configuration.
 TEST(RemainderTileDiff, ShortAxisTileWiderThanExtent) {
   checkRaggedAgreement(Boundary::clamp(), {5, 47}, 16);
+}
+
+// One, two and three 16-wide tiles along the innermost axis (extents
+// 16, 29 and 33): the versioned fill's guard 1 <= w < tiles - 1 holds
+// for no tile, no tile, and the middle tile.
+TEST(RemainderTileDiff, OneTwoThreeTilesAlongInnermostAxis) {
+  for (std::int64_t Inner : {16, 29, 33})
+    for (Boundary B : {Boundary::clamp(), Boundary::mirror(), Boundary::wrap(),
+                       Boundary::constant(0.75f)})
+      checkRaggedAgreement(B, {21, Inner}, 16);
 }
 
 // A ragged 3D grid exercises the transpose-reordering path of the

@@ -1,0 +1,65 @@
+// Jacobi2D5pt: generated by the liftcpp native backend.
+// Semantics contract: bit-identical to the NDRange simulator
+// (all loops run 0..count-1; floor division; exact float
+// literals; float-precision math builtins).
+
+#include <math.h>
+#include <stdint.h>
+
+#define sqrt(x) sqrtf(x)
+#define fmax(a, b) fmaxf((a), (b))
+#define fmin(a, b) fminf((a), (b))
+
+static inline long long lift_fdiv(long long a, long long b) {
+  long long q = a / b;
+  if ((a % b != 0) && ((a < 0) != (b < 0)))
+    --q;
+  return q;
+}
+static inline long long lift_fmod(long long a, long long b) {
+  return a - lift_fdiv(a, b) * b;
+}
+static inline long long lift_min(long long a, long long b) {
+  return a < b ? a : b;
+}
+static inline long long lift_max(long long a, long long b) {
+  return a > b ? a : b;
+}
+
+static inline __attribute__((always_inline)) float idF(float x) { return x; }
+static inline __attribute__((always_inline)) float Jacobi2D5pt_f(float a0, float a1, float a2, float a3, float a4) { return 0.200000003f * a0 + 0.200000003f * a1 + 0.200000003f * a2 + 0.200000003f * a3 + 0.200000003f * a4; }
+
+void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
+  float *restrict in0 = (float *)lift_bufs[0];
+  float *restrict out = (float *)lift_bufs[1];
+  const long long d0 = lift_sizes[0];
+  const long long d1 = lift_sizes[1];
+  (void)lift_threads;
+  #pragma omp parallel for schedule(static) num_threads(lift_threads)
+  for (long long i0 = 0; i0 < (1 + lift_fdiv((-1 + d0), 16)); ++i0) {
+    float lcl0[324] = {0};
+    for (long long i1 = 0; i1 < (1 + lift_fdiv((-1 + d1), 16)); ++i1) {
+      if ((1 <= i1 && i1 < lift_fdiv((-1 + d1), 16))) {
+        for (long long i2 = 0; i2 < 18; ++i2) {
+          #pragma omp simd
+          for (long long i3 = 0; i3 < 18; ++i3) {
+            lcl0[((18 * i2) + i3)] = idF(in0[(-1 + (16 * i1) + i3 + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i2 + lift_min((-16 + d0), (16 * i0)))))))]);
+          }
+        }
+      } else {
+        for (long long i2 = 0; i2 < 18; ++i2) {
+          for (long long i3 = 0; i3 < 18; ++i3) {
+            lcl0[((18 * i2) + i3)] = idF(in0[(lift_max(0, lift_min((-1 + d1), (-1 + i3 + lift_min((-16 + d1), (16 * i1))))) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i2 + lift_min((-16 + d0), (16 * i0)))))))]);
+          }
+        }
+      }
+      /* work-group barrier: implicit (loop completed) */
+      for (long long i4 = 0; i4 < 16; ++i4) {
+        #pragma omp simd
+        for (long long i5 = 0; i5 < 16; ++i5) {
+          out[(i5 + lift_min((-16 + d1), (16 * i1)) + (d1 * i4) + (d1 * lift_min((-16 + d0), (16 * i0))))] = Jacobi2D5pt_f(lcl0[(1 + (18 * i4) + i5)], lcl0[(18 + (18 * i4) + i5)], lcl0[(19 + (18 * i4) + i5)], lcl0[(20 + (18 * i4) + i5)], lcl0[(37 + (18 * i4) + i5)]);
+        }
+      }
+    }
+  }
+}

@@ -74,10 +74,13 @@ int usage() {
       "  --repeats R timed executions, fastest wins; --jobs = OpenMP\n"
       "  threads), and 'tune' ranks candidates by measured seconds\n"
       "  instead of the device model (it compiles the candidates on\n"
-      "  --jobs workers, then times them one at a time with --jobs\n"
-      "  OpenMP threads). The native backend splits every\n"
+      "  --jobs workers, then times each distinct binary once with\n"
+      "  --jobs OpenMP threads). The native backend splits every\n"
       "  innermost grid loop into edge loops and a clamp-free,\n"
-      "  vectorized interior loop\n"
+      "  vectorized interior loop, versions every tile fill into a\n"
+      "  clamp-free, vectorized fill for tiles inside the grid and the\n"
+      "  general fill for edge tiles, and compiles for the host ISA\n"
+      "  (-march=native when the compiler accepts it)\n"
       "analysis (emit/run): --check-bounds statically proves every buffer\n"
       "  access in bounds of the kernel the backend runs (prints a\n"
       "  violation report and exits 1 otherwise; 'run' and --extents make\n"

@@ -53,7 +53,9 @@ void usage() {
       "  --native     also compile every lowered kernel to C with the\n"
       "               host compiler, dlopen and run it, and require its\n"
       "               output to be bit-identical to the interpreter (the\n"
-      "               backend compiles every kernel interior-specialized);\n"
+      "               backend compiles every kernel interior-specialized,\n"
+      "               tiled local-memory kernels with a versioned tile\n"
+      "               fill, counted as tiled-versioned=N);\n"
       "               mismatch artifacts include the emitted C source\n"
       "  --check-bounds\n"
       "               statically bounds-check every lowered kernel at the\n"
@@ -157,6 +159,8 @@ int main(int Argc, char **Argv) {
     if (O.Diff.TryTiled)
       Extra += " tiled-remainder=" + std::to_string(Stats.TiledRemainder) +
                " tiled-indivisible=" + std::to_string(Stats.TiledIndivisible);
+    if (O.Diff.TryTiled && O.Diff.Native)
+      Extra += " tiled-versioned=" + std::to_string(Stats.TiledVersioned);
     std::printf("liftfuzz: seed=%llu count=%llu ok=%u discarded=%u "
                 "mismatches=%u skipped-rewrites=%u%s%s\n",
                 (unsigned long long)Seed, (unsigned long long)Count,
