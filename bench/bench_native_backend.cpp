@@ -33,12 +33,13 @@
 //                           of the reduced measurement grids
 //   --boundary              compare the unspecialized emitted C,
 //                           compiled directly, with the kernel the
-//                           backend compiles (analysis/InteriorSpec.h:
-//                           interior/edge split for the untiled kernel,
-//                           versioned tile fill for tiled16-local)
-//                           instead of native vs model; each time is
-//                           the median of --repeats single runs, with
-//                           its spread
+//                           backend compiles (interior/edge split for
+//                           the untiled kernel, analysis/InteriorSpec.h;
+//                           tiled16-local, and tiled64-local for
+//                           Jacobi2D5pt, folded into a grid nest first,
+//                           analysis/TileFold.h) instead of native vs
+//                           model; each time is the median of
+//                           --repeats single runs, with its spread
 //   --boundary-json [path]  the boundary comparison as JSON (the
 //                           checked-in BENCH_native_boundary.json is
 //                           produced with --full --boundary-json)
@@ -88,10 +89,10 @@ struct Row {
 /// medians of the timed runs; spreads are (max - min) / median in %.
 struct BoundaryRow {
   std::string Name;
-  std::string Variant; ///< "global" or "tiled16-local"
+  std::string Variant; ///< "global", "tiled16-local" or "tiled64-local"
   std::string Grid;
   unsigned LoopsSplit = 0;
-  unsigned FillsVersioned = 0;
+  unsigned TilesFolded = 0;
   double GenericMs = 0;
   double GenericSpreadPct = 0;
   double SpecializedMs = 0;
@@ -181,17 +182,23 @@ int main(int argc, char **argv) {
       std::vector<float> Want = B.Golden(Inputs, Grid);
 
       // The untiled kernel (interior/edge split) and the tiled16-local
-      // kernel (versioned tile fill), each lowered at the grid it runs
-      // on. The backend specializes every kernel it compiles, so the
-      // generic baseline is compiled from the unspecialized source
+      // kernel (folded, then split), each lowered at the grid it runs
+      // on; Jacobi2D5pt adds tiled64-local, the modeled tuner's
+      // winner. The backend specializes every kernel it compiles, so
+      // the generic baseline is compiled from the unspecialized source
       // directly, with the same compile flags.
-      rewrite::LoweringOptions Tiled;
-      Tiled.Tile = true;
-      Tiled.TileOutputs = 16;
-      Tiled.UseLocalMem = true;
-      Tiled.OutputExtents.assign(Grid.begin(), Grid.end());
-      for (const rewrite::LoweringOptions &LO :
-           {rewrite::LoweringOptions(), Tiled}) {
+      std::vector<rewrite::LoweringOptions> Variants(1);
+      for (std::int64_t T : {16, 64}) {
+        if (T == 64 && std::string(Name) != "Jacobi2D5pt")
+          continue;
+        rewrite::LoweringOptions Tiled;
+        Tiled.Tile = true;
+        Tiled.TileOutputs = T;
+        Tiled.UseLocalMem = true;
+        Tiled.OutputExtents.assign(Grid.begin(), Grid.end());
+        Variants.push_back(Tiled);
+      }
+      for (const rewrite::LoweringOptions &LO : Variants) {
         ir::Program Low = rewrite::lowerStencil(P.Instance.P, LO);
         codegen::Compiled C = codegen::compileProgram(Low, B.Name);
         analysis::SpecStats SS;
@@ -202,7 +209,7 @@ int main(int argc, char **argv) {
         R.Variant = LO.describe();
         R.Grid = extentsToString(Grid);
         R.LoopsSplit = SS.LoopsSplit;
-        R.FillsVersioned = SS.FillsVersioned;
+        R.TilesFolded = SS.TilesFolded;
         try {
           native::NativeKernelPtr GK = native::compileCSource(
               native::emitC(C.K), C.K.Name, native::NativeOptions());
@@ -255,12 +262,12 @@ int main(int argc, char **argv) {
         std::snprintf(
             Buf, sizeof(Buf),
             "  {\"name\": \"%s\", \"variant\": \"%s\", \"grid\": \"%s\", "
-            "\"loops_split\": %u, \"fills_versioned\": %u, "
+            "\"loops_split\": %u, \"tiles_folded\": %u, "
             "\"generic_ms\": %.4f, \"generic_spread_pct\": %.1f, "
             "\"specialized_ms\": %.4f, \"specialized_spread_pct\": %.1f, "
             "\"speedup\": %.4f, \"max_err\": %.3g}",
             R.Name.c_str(), R.Variant.c_str(), R.Grid.c_str(), R.LoopsSplit,
-            R.FillsVersioned, R.GenericMs, R.GenericSpreadPct,
+            R.TilesFolded, R.GenericMs, R.GenericSpreadPct,
             R.SpecializedMs, R.SpecializedSpreadPct, R.Speedup, R.MaxErr);
         Out += Buf;
         Out += I + 1 == BRows.size() ? "\n" : ",\n";
@@ -285,14 +292,14 @@ int main(int argc, char **argv) {
                   native::compileCommand().c_str());
       printRule(112);
       std::printf("%-12s %-14s %-14s %5s %5s %18s %18s %9s %9s\n",
-                  "Benchmark", "Variant", "Grid", "split", "fills",
+                  "Benchmark", "Variant", "Grid", "split", "folds",
                   "generic ms", "special ms", "speedup", "max err");
       printRule(112);
       for (const BoundaryRow &R : BRows)
         std::printf("%-12s %-14s %-14s %5u %5u %10.4f (%4.0f%%) %10.4f "
                     "(%4.0f%%) %8.2fx %9.2g\n",
                     R.Name.c_str(), R.Variant.c_str(), R.Grid.c_str(),
-                    R.LoopsSplit, R.FillsVersioned, R.GenericMs,
+                    R.LoopsSplit, R.TilesFolded, R.GenericMs,
                     R.GenericSpreadPct, R.SpecializedMs,
                     R.SpecializedSpreadPct, R.Speedup, R.MaxErr);
       printRule(112);

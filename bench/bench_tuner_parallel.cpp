@@ -7,11 +7,13 @@
 // simulator + structural-equality evaluation memo); jobs=1 evaluates
 // every candidate on the calling thread, jobs=N on N pool workers, so
 // the speedup is candidate-level threading alone and is bounded by N.
-// Verifies the winner is identical either way.
+// Each side runs Sweeps times, alternating, and reports the median and
+// the spread, so that one descheduled sweep cannot hide (or fake) a
+// threading regression. Verifies the winner is identical every time.
 //
 // Passing --json [path] emits a compact JSON summary (per-benchmark
-// jobs=1 and jobs=N wall milliseconds plus the speedup) instead of the
-// console table; the checked-in BENCH_tuner_parallel.json snapshot at
+// jobs=1 and jobs=N median wall milliseconds and spreads, plus the
+// speedup of the medians) instead of the console table; the checked-in BENCH_tuner_parallel.json snapshot at
 // the repo root is produced this way. --jobs N sets the parallel job
 // count (default 4).
 //
@@ -21,12 +23,14 @@
 #include "ocl/Device.h"
 #include "tuner/Tuner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace lift;
@@ -36,6 +40,9 @@ using namespace lift::bench;
 
 namespace {
 
+/// Timed sweeps per side.
+constexpr unsigned Sweeps = 5;
+
 double wallMs(const std::function<void()> &F) {
   auto T0 = std::chrono::steady_clock::now();
   F();
@@ -43,13 +50,25 @@ double wallMs(const std::function<void()> &F) {
   return std::chrono::duration<double, std::milli>(T1 - T0).count();
 }
 
+/// Median and (max - min) / median in % of \p Ms.
+std::pair<double, double> medianAndSpread(std::vector<double> Ms) {
+  std::sort(Ms.begin(), Ms.end());
+  double Median = Ms.size() % 2 ? Ms[Ms.size() / 2]
+                                : 0.5 * (Ms[Ms.size() / 2 - 1] +
+                                         Ms[Ms.size() / 2]);
+  return {Median, Median > 0 ? 100.0 * (Ms.back() - Ms.front()) / Median
+                             : 0.0};
+}
+
 struct Row {
   std::string Name;
   std::size_t Candidates = 0;
-  double SeqMs = 0;
-  double ParMs = 0;
+  double SeqMs = 0; ///< median
+  double SeqSpreadPct = 0;
+  double ParMs = 0; ///< median
+  double ParSpreadPct = 0;
   std::uint64_t MemoHits = 0;
-  bool SameWinner = false;
+  bool SameWinner = true;
   double speedup() const { return SeqMs / ParMs; }
 };
 
@@ -86,14 +105,22 @@ int main(int argc, char **argv) {
     TuneOptions Par;
     Par.Jobs = Jobs;
 
-    TuneResult RSeq, RPar;
-    R.SeqMs = wallMs([&] { RSeq = tuneStencil(P, Dev, liftSpace(), Seq); });
-    R.ParMs = wallMs([&] { RPar = tuneStencil(P, Dev, liftSpace(), Par); });
-    R.Candidates = RSeq.All.size();
-    R.MemoHits = RPar.MemoHits;
-    R.SameWinner = RSeq.Best.C.describe() == RPar.Best.C.describe() &&
-                   RSeq.Best.T.Total == RPar.Best.T.Total &&
-                   RSeq.All.size() == RPar.All.size();
+    std::vector<double> SeqMs, ParMs;
+    for (unsigned I = 0; I != Sweeps; ++I) {
+      TuneResult RSeq, RPar;
+      SeqMs.push_back(
+          wallMs([&] { RSeq = tuneStencil(P, Dev, liftSpace(), Seq); }));
+      ParMs.push_back(
+          wallMs([&] { RPar = tuneStencil(P, Dev, liftSpace(), Par); }));
+      R.Candidates = RSeq.All.size();
+      R.MemoHits = RPar.MemoHits;
+      R.SameWinner = R.SameWinner &&
+                     RSeq.Best.C.describe() == RPar.Best.C.describe() &&
+                     RSeq.Best.T.Total == RPar.Best.T.Total &&
+                     RSeq.All.size() == RPar.All.size();
+    }
+    std::tie(R.SeqMs, R.SeqSpreadPct) = medianAndSpread(SeqMs);
+    std::tie(R.ParMs, R.ParSpreadPct) = medianAndSpread(ParMs);
     AllSame = AllSame && R.SameWinner;
     Rows.push_back(R);
   }
@@ -103,17 +130,20 @@ int main(int argc, char **argv) {
     // (tuner::Objective::Measured) would say "measured" here.
     std::string Out = "{\n\"meta\": " + benchMetaJson() +
                       ",\n\"jobs\": " + std::to_string(Jobs) +
+                      ",\n\"repeats\": " + std::to_string(Sweeps) +
                       ",\n\"objective\": \"modeled\"" + ",\n\"sweeps\": [\n";
     for (std::size_t I = 0; I != Rows.size(); ++I) {
       const Row &R = Rows[I];
-      char Buf[256];
+      char Buf[384];
       std::snprintf(Buf, sizeof(Buf),
                     "  {\"name\": \"%s\", \"candidates\": %zu, "
-                    "\"jobs1_ms\": %.1f, \"jobsN_ms\": %.1f, "
+                    "\"jobs1_ms\": %.1f, \"jobs1_spread_pct\": %.1f, "
+                    "\"jobsN_ms\": %.1f, \"jobsN_spread_pct\": %.1f, "
                     "\"speedup\": %.2f, \"memo_hits\": %llu, "
                     "\"same_winner\": %s}",
-                    R.Name.c_str(), R.Candidates, R.SeqMs, R.ParMs,
-                    R.speedup(), (unsigned long long)R.MemoHits,
+                    R.Name.c_str(), R.Candidates, R.SeqMs, R.SeqSpreadPct,
+                    R.ParMs, R.ParSpreadPct, R.speedup(),
+                    (unsigned long long)R.MemoHits,
                     R.SameWinner ? "true" : "false");
       Out += Buf;
       Out += I + 1 == Rows.size() ? "\n" : ",\n";
@@ -131,18 +161,21 @@ int main(int argc, char **argv) {
     }
   } else {
     std::printf("Exhaustive tuning sweep: one thread (jobs=1) vs "
-                "%u pool workers (jobs=%u)\n", Jobs, Jobs);
-    printRule(90);
-    std::printf("%-14s %10s %12s %12s %9s %10s %12s\n", "Benchmark",
+                "%u pool workers (jobs=%u); median (spread) of %u "
+                "sweeps each\n", Jobs, Jobs, Sweeps);
+    printRule(104);
+    std::printf("%-14s %7s %20s %20s %9s %10s %12s\n", "Benchmark",
                 "cands", "jobs=1 ms", "jobs=N ms", "speedup", "memoHits",
                 "same winner");
-    printRule(90);
+    printRule(104);
     for (const Row &R : Rows)
-      std::printf("%-14s %10zu %12.1f %12.1f %8.2fx %10llu %12s\n",
-                  R.Name.c_str(), R.Candidates, R.SeqMs, R.ParMs,
-                  R.speedup(), (unsigned long long)R.MemoHits,
+      std::printf("%-14s %7zu %12.1f (%4.0f%%) %12.1f (%4.0f%%) %8.2fx "
+                  "%10llu %12s\n",
+                  R.Name.c_str(), R.Candidates, R.SeqMs, R.SeqSpreadPct,
+                  R.ParMs, R.ParSpreadPct, R.speedup(),
+                  (unsigned long long)R.MemoHits,
                   R.SameWinner ? "yes" : "NO");
-    printRule(90);
+    printRule(104);
   }
 
   int ObsRC = Obs.finish();

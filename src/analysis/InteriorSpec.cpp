@@ -9,7 +9,6 @@
 
 #include "analysis/RangeAnalysis.h"
 
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -114,7 +113,6 @@ struct EligibilityScan {
       Assigned.insert(S->VarId);
       return;
     case Stmt::Kind::Barrier:
-    case Stmt::Kind::If: // a versioned tile fill: local-memory staging
       Ok = false;
       return;
     case Stmt::Kind::Loop:
@@ -149,8 +147,6 @@ void countRegUses(const std::vector<StmtPtr> &Body,
         ++Out[S->VarId];
       expr(S->Value);
       for (const StmtPtr &B : S->Body)
-        stmt(B);
-      for (const StmtPtr &B : S->ElseBody)
         stmt(B);
     }
   } W{Out};
@@ -238,21 +234,6 @@ StmtPtr cloneStmt(const StmtPtr &S, const CloneCtx &C, const Facts &F) {
     return ocl::sAssign(C.reg(S->VarId), cloneExpr(S->Value, C, F));
   case Stmt::Kind::Barrier:
     return S;
-  case Stmt::Kind::If: {
-    std::vector<ocl::BoundsCheck> Checks;
-    Facts ThenF = F;
-    for (const ocl::BoundsCheck &B : S->Checks) {
-      Checks.push_back({C.index(B.Idx, F), C.index(B.Lo, F), C.index(B.Hi, F)});
-      ThenF = ThenF.withCheckFact(Checks.back().Idx, Checks.back().Lo,
-                                  Checks.back().Hi);
-    }
-    std::vector<StmtPtr> Then, Else;
-    for (const StmtPtr &B : S->Body)
-      Then.push_back(cloneStmt(B, C, ThenF));
-    for (const StmtPtr &B : S->ElseBody)
-      Else.push_back(cloneStmt(B, C, F));
-    return ocl::sIf(std::move(Checks), std::move(Then), std::move(Else));
-  }
   case Stmt::Kind::Loop: {
     AExpr Count = C.index(S->Count, F);
     Facts Inner = F.withLoopVar(S->LoopVar, Count);
@@ -306,15 +287,7 @@ struct InteriorVerify {
     index(S->Index);
     index(S->Count);
     expr(S->Value);
-    for (const ocl::BoundsCheck &B : S->Checks)
-      if (mentionsVar(B.Idx, Id) || mentionsVar(B.Lo, Id) ||
-          mentionsVar(B.Hi, Id)) {
-        Clean = false;
-        return;
-      }
     for (const StmtPtr &B : S->Body)
-      stmt(B);
-    for (const StmtPtr &B : S->ElseBody)
       stmt(B);
   }
 };
@@ -332,42 +305,6 @@ bool containsGridLoop(const std::vector<StmtPtr> &Body) {
   return false;
 }
 
-/// True when \p S is a Lcl loop nest whose every store goes to local
-/// memory: the cooperative tile fill that stages a work-group's input
-/// tile for its compute nest.
-bool isTileFill(const ocl::Kernel &K, const StmtPtr &S) {
-  if (S->K != Stmt::Kind::Loop || S->LK != ocl::LoopKind::Lcl)
-    return false;
-  bool AnyStore = false, AllLocal = true;
-  std::function<void(const StmtPtr &)> Walk = [&](const StmtPtr &X) {
-    if (X->K == Stmt::Kind::Store) {
-      AnyStore = true;
-      AllLocal &= K.buffer(X->BufferId).Space == ocl::MemSpace::Local;
-    }
-    for (const StmtPtr &B : X->Body)
-      Walk(B);
-    for (const StmtPtr &B : X->ElseBody)
-      Walk(B);
-  };
-  Walk(S);
-  return AnyStore && AllLocal;
-}
-
-/// \p Loop with its innermost Lcl loops (those with no Lcl loop in
-/// their body) marked Stmt::Simd.
-StmtPtr withInnermostSimd(const StmtPtr &Loop) {
-  bool Nested = false;
-  std::vector<StmtPtr> Body;
-  Body.reserve(Loop->Body.size());
-  for (const StmtPtr &B : Loop->Body) {
-    bool IsLcl = B->K == Stmt::Kind::Loop && B->LK == ocl::LoopKind::Lcl;
-    Nested |= IsLcl;
-    Body.push_back(IsLcl ? withInnermostSimd(B) : B);
-  }
-  return ocl::sLoop(Loop->LK, Loop->Dim, Loop->LoopVar, Loop->Count,
-                    std::move(Body), Loop->Unroll, Loop->Simd || !Nested);
-}
-
 struct Splitter {
   ocl::Kernel &K;
   SpecStats &Stats;
@@ -380,10 +317,6 @@ struct Splitter {
     std::vector<StmtPtr> Out;
     Out.reserve(Body.size());
     for (const StmtPtr &S : Body) {
-      if (S->K == Stmt::Kind::Loop && S->LK == ocl::LoopKind::Wrg) {
-        Out.push_back(versionWorkGroups(S, F));
-        continue;
-      }
       bool Descend = S->K == Stmt::Kind::Loop &&
                      (S->LK == ocl::LoopKind::Glb ||
                       S->LK == ocl::LoopKind::Seq);
@@ -407,78 +340,6 @@ struct Splitter {
                                S->Simd));
     }
     return Out;
-  }
-
-  /// Tiled kernels: descends the work-group spine to the innermost Wrg
-  /// loop and versions its tile fills (see versionFill). When a fill
-  /// was versioned, the innermost loops of the other Lcl nests (the
-  /// compute nest) carry Stmt::Simd too; the compute nest itself stays
-  /// one copy. Returns \p Wrg itself when nothing changed, so a second
-  /// pass is the identity.
-  StmtPtr versionWorkGroups(const StmtPtr &Wrg, const Facts &F) {
-    Facts Inner = F.withLoopVar(Wrg->LoopVar, Wrg->Count);
-    bool Innermost = true;
-    for (const StmtPtr &B : Wrg->Body)
-      Innermost &= !(B->K == Stmt::Kind::Loop &&
-                     B->LK == ocl::LoopKind::Wrg);
-    std::vector<StmtPtr> Body;
-    Body.reserve(Wrg->Body.size());
-    bool Changed = false, Versioned = false;
-    for (const StmtPtr &B : Wrg->Body) {
-      StmtPtr NB = B;
-      if (!Innermost && B->K == Stmt::Kind::Loop &&
-          B->LK == ocl::LoopKind::Wrg)
-        NB = versionWorkGroups(B, Inner);
-      else if (Innermost && isTileFill(K, B))
-        NB = versionFill(B, Wrg, Inner);
-      Versioned |= NB->K == Stmt::Kind::If && NB != B;
-      Changed |= NB != B;
-      Body.push_back(std::move(NB));
-    }
-    if (Versioned)
-      for (StmtPtr &B : Body)
-        if (B->K == Stmt::Kind::Loop && B->LK == ocl::LoopKind::Lcl &&
-            !isTileFill(K, B))
-          B = withInnermostSimd(B);
-    if (!Changed)
-      return Wrg;
-    return ocl::sLoop(Wrg->LK, Wrg->Dim, Wrg->LoopVar, Wrg->Count,
-                      std::move(Body), Wrg->Unroll, Wrg->Simd);
-  }
-
-  /// Versions one tile fill on whether the work-group's tile lies
-  /// strictly inside the grid along the innermost work-group axis:
-  ///
-  ///   if (1 <= w < count - M) clean fill else original fill
-  ///
-  /// for the smallest M whose guard facts clear the fill. M = 1 covers
-  /// halos of one element. A wider halo can still reach past the grid
-  /// from tile count - 2 (a 16-wide tile with a halo of 2 does when
-  /// n = 16k + 1), and takes M = 2. The clean fill is the original
-  /// re-simplified under the guard's facts; its innermost Lcl loop
-  /// carries Stmt::Simd. When no M up to MaxHalo clears every clamp on
-  /// w the fill comes back unchanged. Both branches write the same
-  /// registers: exactly one runs.
-  StmtPtr versionFill(const StmtPtr &Fill, const StmtPtr &Wrg,
-                      const Facts &F) {
-    std::unordered_map<unsigned, AExpr> NoSubst;
-    for (int M = 1; M <= MaxHalo; ++M) {
-      ocl::BoundsCheck Guard{Wrg->LoopVar, cst(1), sub(Wrg->Count, cst(M))};
-      Facts GF = F.withCheckFact(Guard.Idx, Guard.Lo, Guard.Hi);
-      SpecStats Probe;
-      CloneCtx CI{NoSubst, nullptr, /*Simplify=*/true, &Probe};
-      StmtPtr Clean = cloneStmt(Fill, CI, GF);
-      InteriorVerify V{Wrg->LoopVar->getVarId()};
-      V.stmt(Clean);
-      if (!V.Clean)
-        continue;
-      countRegUses({Clean}, GlobalRegUses);
-      Stats.SelectsResolved += Probe.SelectsResolved;
-      ++Stats.FillsVersioned;
-      return ocl::sIf({std::move(Guard)}, {withInnermostSimd(Clean)},
-                      {Fill});
-    }
-    return Fill;
   }
 
   /// Duplicates every register of \p Uses with a suffixed name,

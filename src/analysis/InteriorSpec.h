@@ -33,28 +33,17 @@
 /// is performed only when it is a pure win: if no H up to a small
 /// limit clears the body, the loop is left untouched.
 ///
-/// Tiled local-memory kernels have no grid loop to split. There, each
-/// tile fill in the innermost work-group loop (variable w, count nT) is
-/// versioned instead:
-///
-///   if (1 <= w < nT - M) clean fill else original fill
-///
-/// The clean fill is the fill re-simplified under the guard's facts,
-/// free of boundary arithmetic on w, for the smallest margin M <= 4
-/// that achieves that (a halo of two needs M = 2); its innermost Lcl
-/// loop carries Stmt::Simd, and so does the innermost Lcl loop of the
-/// compute nest, which stays one copy. A fill no margin clears is left
-/// unchanged.
+/// Tiled kernels have no grid loop to split; the native backend folds
+/// them back into grid nests first (TileFold.h), and this pass then
+/// splits the folded nest like any other.
 ///
 /// The pass is idempotent: an interior loop has no boundary work left
-/// to erase, an edge loop runs at most H iterations, and a versioned
-/// fill is an If rather than a fill loop, so a second pass changes
-/// nothing and returns an identical kernel.
+/// to erase and an edge loop runs at most H iterations, so a second
+/// pass changes nothing and returns an identical kernel.
 ///
 /// The rewrite is semantics-preserving by construction — the three
 /// ranges partition [0, count) exactly, each clone computes the same
-/// function on its subrange, and a fill's two versions compute the
-/// same tile — and is additionally enforced end to end
+/// function on its subrange — and is additionally enforced end to end
 /// by the differential fuzzer (liftfuzz --native compares the native
 /// output, always specialized, bit-for-bit against the interpreter).
 ///
@@ -72,20 +61,21 @@
 namespace lift {
 namespace analysis {
 
-/// What specializeInterior did.
+/// What the native backend's kernel passes did (TileFold.h, then
+/// specializeInterior).
 struct SpecStats {
-  unsigned LoopsSplit = 0;     ///< grid loops split into edge/interior
-  unsigned FillsVersioned = 0; ///< tile fills guarded into clean/general
+  unsigned TilesFolded = 0;   ///< tiled nests folded into grid nests
+  unsigned TilesUnfolded = 0; ///< tiled nests the fold left tiled
+  unsigned LoopsSplit = 0;    ///< grid loops split into edge/interior
   unsigned SelectsResolved = 0; ///< constant-pad Selects proved away
-  bool changed() const { return LoopsSplit != 0 || FillsVersioned != 0; }
+  bool changed() const { return LoopsSplit != 0 || TilesFolded != 0; }
 };
 
 /// Returns a copy of \p K with every eligible innermost parallel grid
 /// loop split into left-edge / clamp-free-interior / right-edge loops
-/// and every clearable tile fill versioned (see file comment). Loops
-/// and fills whose boundary work cannot be proven away are left
-/// unchanged — the result is always a valid kernel computing the same
-/// function.
+/// (see file comment). Loops whose boundary work cannot be proven away
+/// are left unchanged — the result is always a valid kernel computing
+/// the same function.
 ocl::Kernel specializeInterior(const ocl::Kernel &K,
                                SpecStats *Stats = nullptr);
 

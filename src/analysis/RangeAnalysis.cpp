@@ -195,15 +195,25 @@ struct BoundCtx {
   const Facts &F;
   std::unordered_set<unsigned> Active;
   int Depth = 0;
+  /// Bounds already computed in this query, per (node, direction): the
+  /// product rule asks for both bounds of a factor, which without the
+  /// memo grows exponentially with the nesting depth. Any cached result
+  /// is a sound bound wherever the node recurs.
+  std::unordered_map<const ArithExpr *, AExpr> Memo[2];
 
   static constexpr int MaxDepth = 64;
 
   AExpr bound(const AExpr &E, bool Upper) {
     if (Depth >= MaxDepth)
       return E;
+    auto &M = Memo[Upper];
+    auto It = M.find(E.get());
+    if (It != M.end())
+      return It->second;
     ++Depth;
     AExpr R = boundImpl(E, Upper);
     --Depth;
+    M.emplace(E.get(), R);
     return R;
   }
 
@@ -232,9 +242,15 @@ private:
       return Sum;
     }
     case Kind::Mul: {
-      // C * f0 * f1 * ...: bound exactly one factor, keep the rest.
-      // Sound when every kept symbolic factor is provably >= 0 and the
-      // bounding direction accounts for the sign of the constant.
+      // C * f0 * f1 * ...: bound one factor and keep the rest, sound
+      // when every kept factor is provably >= 0; or bound several
+      // factors, sound when each of them is provably >= 0 too (the
+      // product is monotone on nonnegative factors). A nonnegative
+      // variable with a constant bound (a size variable under its
+      // launch precondition) is kept while another factor is bounded:
+      // d1 * min(d0 - 16, 16 * w) >= d1 * 0, not 16 * 0, so the bound
+      // still cancels against the buffer extent d0 * d1. The bounding
+      // direction accounts for the sign of the constant.
       const auto &Ops = E->getOperands();
       std::int64_t C = 1;
       std::size_t First = 0;
@@ -243,23 +259,38 @@ private:
         First = 1;
       }
       bool FactorUpper = (C < 0) ? !Upper : Upper;
-      std::size_t Changed = 0;
       std::vector<AExpr> NewOps;
       NewOps.reserve(Ops.size() - First);
+      std::vector<std::size_t> Changed, Keepable;
       for (std::size_t I = First; I != Ops.size(); ++I) {
         AExpr B = bound(Ops[I], FactorUpper);
-        if (!exprEquals(B, Ops[I]))
-          ++Changed;
+        if (!exprEquals(B, Ops[I])) {
+          bool Keep = Ops[I]->getKind() == Kind::Var &&
+                      Ops[I]->getRange().atLeast(0) &&
+                      B->getKind() == Kind::Cst;
+          (Keep ? Keepable : Changed).push_back(I - First);
+        }
         NewOps.push_back(std::move(B));
       }
-      if (Changed == 0)
-        return E;
-      if (Changed > 1)
-        return E;
-      for (std::size_t I = First; I != Ops.size(); ++I)
-        if (exprEquals(NewOps[I - First], Ops[I]) &&
-            !Ops[I]->getRange().atLeast(0))
+      if (Changed.empty()) {
+        if (Keepable.size() != 1)
           return E;
+        Changed.swap(Keepable);
+      }
+      for (std::size_t I : Keepable)
+        NewOps[I] = Ops[I + First];
+      for (std::size_t I = 0; I != NewOps.size(); ++I) {
+        const AExpr &Op = Ops[I + First];
+        if (exprEquals(NewOps[I], Op)) {
+          if (!Op->getRange().atLeast(0))
+            return E;
+        } else if (Changed.size() > 1) {
+          const AExpr &Lo =
+              FactorUpper ? bound(Op, /*Upper=*/false) : NewOps[I];
+          if (!Lo->getRange().atLeast(0))
+            return E;
+        }
+      }
       AExpr Out = cst(C);
       for (AExpr &Op : NewOps)
         Out = mul(Out, std::move(Op));
@@ -700,6 +731,49 @@ bool provablyLE(const AExpr &A, const AExpr &B, const Facts &F) {
   return proveNonNeg(Gap, 6);
 }
 
+namespace {
+
+/// \p E with every variable \p F bounds by constants replaced by a
+/// fresh variable whose declared range meets those bounds, so the
+/// interval domain (and proveNonNeg's case splits) see them: under
+/// d0, d1 >= 16 the branch d0 * d1 - 2 of a split clamp is >= 254.
+AExpr withFactRanges(const AExpr &E, const Facts &F) {
+  std::unordered_map<unsigned, std::pair<unsigned, AExpr>> Occ;
+  countVars(E, Occ);
+  std::unordered_map<unsigned, AExpr> Subst;
+  for (const auto &[Id, CountAndVar] : Occ) {
+    const Refinement *R = F.refinement(Id);
+    if (!R)
+      continue;
+    Range Rg = CountAndVar.second->getVarRange();
+    bool Tighter = false;
+    if (R->Lo && R->Lo->getKind() == Kind::Cst &&
+        (!Rg.Min || *Rg.Min < R->Lo->getCst())) {
+      Rg.Min = R->Lo->getCst();
+      Tighter = true;
+    }
+    if (R->Hi && R->Hi->getKind() == Kind::Cst &&
+        (!Rg.Max || *Rg.Max > R->Hi->getCst())) {
+      Rg.Max = R->Hi->getCst();
+      Tighter = true;
+    }
+    if (Tighter)
+      Subst.emplace(Id, var(CountAndVar.second->getVarName(), Rg));
+  }
+  return Subst.empty() ? E : substitute(E, Subst);
+}
+
+} // namespace
+
+bool provablyLEThorough(const AExpr &A, const AExpr &B, const Facts &F) {
+  if (provablyLE(A, B, F) || proveNonNegByElimination(sub(B, A), F, 6))
+    return true;
+  // Bounding keeps size variables symbolic so they cancel against
+  // buffer extents; a case split the cancellation leaves may need
+  // their launch preconditions instead.
+  return proveNonNeg(withFactRanges(lowerBound(sub(B, A), F), F), 6);
+}
+
 bool provablyInBounds(const AExpr &I, const AExpr &Lo, const AExpr &HiExcl,
                       const Facts &F) {
   return provablyLE(Lo, I, F) && provablyLE(I, sub(HiExcl, cst(1)), F);
@@ -710,6 +784,28 @@ bool provablyInBounds(const AExpr &I, const AExpr &Lo, const AExpr &HiExcl,
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// floor(A / B) when it is one constant under \p F: B is a positive
+/// constant and the numeric bounds of A fall in one multiple of B. This
+/// is what recovers tile coordinates from a flat index, e.g.
+/// floor((19 + i) / 18) == 1 for i in [0, 15].
+std::optional<std::int64_t> constQuotient(const AExpr &A, const AExpr &B,
+                                          const Facts &F) {
+  if (B->getKind() != Kind::Cst || B->getCst() < 1)
+    return std::nullopt;
+  Range Lo = lowerBound(A, F)->getRange();
+  Range Hi = upperBound(A, F)->getRange();
+  if (!Lo.Min || !Hi.Max)
+    return std::nullopt;
+  std::int64_t D = B->getCst();
+  auto FloorDiv = [D](std::int64_t X) {
+    return X >= 0 ? X / D : -((-X + D - 1) / D);
+  };
+  std::int64_t Q = FloorDiv(*Lo.Min);
+  if (FloorDiv(*Hi.Max) != Q)
+    return std::nullopt;
+  return Q;
+}
 
 AExpr simplifyRec(const AExpr &E, const Facts &F,
                   std::unordered_map<const ArithExpr *, AExpr> &Memo) {
@@ -738,15 +834,21 @@ AExpr simplifyRec(const AExpr &E, const Facts &F,
   case Kind::Div: {
     AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
     AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    Out = floorDiv(std::move(A), std::move(B));
+    if (std::optional<std::int64_t> Q = constQuotient(A, B, F))
+      Out = cst(*Q);
+    else
+      Out = floorDiv(std::move(A), std::move(B));
     break;
   }
   case Kind::Mod: {
     AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
     AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    // a mod b == a whenever 0 <= a < b.
+    // a mod b == a whenever 0 <= a < b, and a - q * b whenever the
+    // quotient is the constant q.
     if (provablyInBounds(A, cst(0), B, F))
       Out = A;
+    else if (std::optional<std::int64_t> Q = constQuotient(A, B, F))
+      Out = sub(A, mul(cst(*Q), B));
     else
       Out = floorMod(std::move(A), std::move(B));
     break;
@@ -930,12 +1032,9 @@ struct BoundsChecker {
     AExpr N = inst(B.NumElems);
     // Guard facts refine several variables in terms of each other (a
     // constant-pad load under its per-axis Selects); the elimination
-    // prover keeps those refinements symbolic. It is the checker's
-    // fallback only: it costs too much for the specializer's many
-    // failing queries.
+    // prover keeps those refinements symbolic.
     auto LE = [&](const AExpr &A, const AExpr &Bd) {
-      return provablyLE(A, Bd, F) ||
-             proveNonNegByElimination(sub(Bd, A), F, 6);
+      return provablyLEThorough(A, Bd, F);
     };
     if (LE(cst(0), Idx) && LE(Idx, sub(N, cst(1))))
       return;
@@ -943,9 +1042,9 @@ struct BoundsChecker {
         {IsStore, B.Name, Idx->toString(), N->toString()});
   }
 
-  /// \p F extended with the facts of guard \p Checks (a Select's or an
-  /// If's), each simplified under \p F first, exactly as the accesses
-  /// they guard are, so that both sides cancel the same terms.
+  /// \p F extended with the facts of a Select's guard \p Checks, each
+  /// simplified under \p F first, exactly as the accesses they guard
+  /// are, so that both sides cancel the same terms.
   Facts withGuard(const std::vector<ocl::BoundsCheck> &Checks,
                   const Facts &F) const {
     Facts Out = F;
@@ -992,15 +1091,6 @@ struct BoundsChecker {
       return;
     case ocl::Stmt::Kind::Barrier:
       return;
-    case ocl::Stmt::Kind::If: {
-      // As for Select: the then-branch runs only under the guard.
-      Facts ThenF = withGuard(S->Checks, F);
-      for (const ocl::StmtPtr &B : S->Body)
-        checkStmt(B, ThenF);
-      for (const ocl::StmtPtr &B : S->ElseBody)
-        checkStmt(B, F);
-      return;
-    }
     case ocl::Stmt::Kind::Loop: {
       Facts LoopF = F.withLoopVar(S->LoopVar, inst(S->Count));
       for (const ocl::StmtPtr &B : S->Body)
@@ -1013,6 +1103,22 @@ struct BoundsChecker {
 
 } // namespace
 
+Facts launchFacts(const ocl::Kernel &K) {
+  Facts F;
+  for (const ocl::MinExtent &M : K.MinExtents) {
+    std::vector<unsigned> Vars;
+    collectVars(M.Extent, Vars);
+    if (Vars.size() != 1)
+      continue;
+    std::unordered_map<unsigned, std::pair<unsigned, AExpr>> Occ;
+    countVars(M.Extent, Occ);
+    AExpr Rest = sub(M.Extent, Occ[Vars[0]].second);
+    if (Rest->getKind() == Kind::Cst)
+      F = F.withBound(Vars[0], cst(M.Min - Rest->getCst()), nullptr);
+  }
+  return F;
+}
+
 std::vector<BoundsViolation> checkKernelBounds(
     const ocl::Kernel &K,
     const std::unordered_map<unsigned, std::int64_t> *Sizes) {
@@ -1021,7 +1127,7 @@ std::vector<BoundsViolation> checkKernelBounds(
     for (const auto &[Id, V] : *Sizes)
       Subst.emplace(Id, cst(V));
   BoundsChecker C{K, Sizes ? &Subst : nullptr, {}};
-  Facts F;
+  Facts F = launchFacts(K);
   for (const ocl::StmtPtr &S : K.Body)
     C.checkStmt(S, F);
   return C.Violations;

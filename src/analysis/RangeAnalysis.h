@@ -114,6 +114,15 @@ AExpr upperBound(const AExpr &E, const Facts &F);
 /// (False means "not provable", not "provably greater".)
 bool provablyLE(const AExpr &A, const AExpr &B, const Facts &F);
 
+/// provablyLE, then an elimination prover that keeps correlated
+/// refinements symbolic and applies the floor rule to the bare
+/// difference (16 * floor((n - 1) / 16) >= n - 16), then case splits of
+/// the difference's lower bound with constant facts as variable ranges.
+/// Costs too much for
+/// the interior specializer's many failing queries; meant for a few
+/// queries per kernel (checkKernelBounds, the tile fold's coverage).
+bool provablyLEThorough(const AExpr &A, const AExpr &B, const Facts &F);
+
 /// True when Lo <= I < HiExcl is provable under \p F.
 bool provablyInBounds(const AExpr &I, const AExpr &Lo, const AExpr &HiExcl,
                       const Facts &F);
@@ -159,12 +168,18 @@ struct BoundsViolation {
   std::string Extent; ///< the buffer's element count
 };
 
+/// The launch preconditions of \p K as facts: every MinExtent whose
+/// extent is v + c for one size variable v bounds v below by Min - c.
+/// Sound because checkLaunchExtents (ocl/Sim.h) refuses any launch that
+/// breaks one.
+Facts launchFacts(const ocl::Kernel &K);
+
 /// Statically checks every Load/Store of \p K: the index must be
-/// provably within [0, NumElems) of its buffer under the loop-bound
-/// facts (each loop variable in [0, count-1]) and Select and If guard
-/// facts (a guarded branch only runs when its checks hold). With \p Sizes
-/// the kernel's size arguments are bound first, making every bound
-/// concrete. Returns the unprovable accesses; empty means the kernel
+/// provably within [0, NumElems) of its buffer under the launch
+/// preconditions (Kernel::MinExtents), the loop-bound facts (each loop
+/// variable in [0, count-1]) and Select guard facts (a Select's Then
+/// branch only runs when its checks hold). With \p Sizes the kernel's
+/// size arguments are bound first, making every bound concrete. Returns the unprovable accesses; empty means the kernel
 /// is statically memory-safe.
 std::vector<BoundsViolation> checkKernelBounds(
     const ocl::Kernel &K,

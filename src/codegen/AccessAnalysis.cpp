@@ -82,10 +82,6 @@ private:
       return;
     case Stmt::Kind::Barrier:
       return;
-    case Stmt::Kind::If:
-      walkStmts(S.Body);
-      walkStmts(S.ElseBody);
-      return;
     case Stmt::Kind::Loop: {
       unsigned VarId = S.LoopVar->getVarId();
       // Bind an interior sample value for this loop variable so index
@@ -268,13 +264,7 @@ public:
   WorkCounter(const Kernel &K, const SizeEnv &Env) : K(K), Env(Env) {}
 
   RegionWork count(const Stmt &Root, std::uint64_t OuterMult) {
-    if (Root.K == Stmt::Kind::If) {
-      for (const StmtPtr &S : Root.ElseBody)
-        if (S->K == Stmt::Kind::Loop)
-          Work.Iterations += tripCount(*S, Env);
-    } else {
-      Work.Iterations = tripCount(Root, Env);
-    }
+    Work.Iterations = tripCount(Root, Env);
     walkStmt(Root, OuterMult);
     return Work;
   }
@@ -297,12 +287,6 @@ private:
       return;
     }
     case Stmt::Kind::Barrier:
-      return;
-    case Stmt::Kind::If:
-      // Both branches of a versioned fill do the same work and exactly
-      // one runs: count it once, along the general path.
-      for (const StmtPtr &C : S.ElseBody)
-        walkStmt(*C, Mult);
       return;
     }
   }
@@ -341,12 +325,6 @@ bool enclosingMult(const std::vector<StmtPtr> &Body, const Stmt *Target,
   for (const StmtPtr &S : Body) {
     if (S.get() == Target)
       return true;
-    if (S->K == Stmt::Kind::If) {
-      if (enclosingMult(S->Body, Target, Env, Mult) ||
-          enclosingMult(S->ElseBody, Target, Env, Mult))
-        return true;
-      continue;
-    }
     if (S->K != Stmt::Kind::Loop)
       continue;
     std::uint64_t Here = Mult;

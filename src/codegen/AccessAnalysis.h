@@ -80,8 +80,7 @@ struct RegionWork {
 };
 
 /// Counts the static work under \p RegionRoot (a loop of \p K,
-/// possibly nested — enclosing loop trip counts multiply in — or a
-/// versioned If, whose work is counted once, along its else-branch). Only
+/// possibly nested — enclosing loop trip counts multiply in). Only
 /// global-space accesses count toward bytes: local/private staging
 /// traffic is deliberately excluded so arithmetic intensity is
 /// DRAM-relative, the roofline convention. Both scalar kinds are 4

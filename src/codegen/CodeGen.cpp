@@ -640,17 +640,6 @@ private:
       return;
     case Stmt::Kind::Barrier:
       return;
-    case Stmt::Kind::If:
-      for (const BoundsCheck &C : S->Checks) {
-        collectVarsIn(C.Idx, Bound, Out);
-        collectVarsIn(C.Lo, Bound, Out);
-        collectVarsIn(C.Hi, Bound, Out);
-      }
-      for (const StmtPtr &B : S->Body)
-        collectStmtVars(B, Bound, Out);
-      for (const StmtPtr &B : S->ElseBody)
-        collectStmtVars(B, Bound, Out);
-      return;
     case Stmt::Kind::Loop: {
       collectVarsIn(S->Count, Bound, Out);
       Bound.push_back(S->LoopVar->getVarId());

@@ -299,7 +299,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
   unsigned BoundsUnproven = 0;
   unsigned TiledRemainder = 0;
   unsigned TiledIndivisible = 0;
-  unsigned TiledVersioned = 0;
+  unsigned TiledFolded = 0;
   // Attaches the telemetry counts to whatever result the oracles
   // produce.
   auto Finish = [&](DiffResult R) {
@@ -307,7 +307,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     R.BoundsUnproven = BoundsUnproven;
     R.TiledRemainder = TiledRemainder;
     R.TiledIndivisible = TiledIndivisible;
-    R.TiledVersioned = TiledVersioned;
+    R.TiledFolded = TiledFolded;
     return R;
   };
   for (std::uint32_t Pick : S.RewritePicks) {
@@ -405,7 +405,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
       TO.Tile = true;
       TO.TileOutputs = V;
       // Odd sub-seeds stage their tiles in local memory, whose tile
-      // fills the native backend versions; a shape the local-memory
+      // fills the native backend forwards; a shape the local-memory
       // lowering does not take falls back to plain tiling.
       TO.UseLocalMem = S.Seed % 2 == 1;
       bool Remainder = false;
@@ -448,9 +448,9 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
         if (O.Native) {
           analysis::SpecStats SS;
           native::specializeForNative(TC.K, &SS);
-          if (SS.FillsVersioned) {
-            TiledVersioned = 1;
-            obs::Registry::global().counter("fuzz.tiled.versioned").inc();
+          if (SS.TilesFolded) {
+            TiledFolded = 1;
+            obs::Registry::global().counter("fuzz.tiled.folded").inc();
           }
           if (std::optional<DiffResult> NR = checkNative(
                   TLow, TC,
@@ -479,7 +479,7 @@ CampaignStats lift::fuzz::runCampaign(std::uint64_t Seed, unsigned Count,
     Stats.BoundsUnproven += R.BoundsUnproven;
     Stats.TiledRemainder += R.TiledRemainder;
     Stats.TiledIndivisible += R.TiledIndivisible;
-    Stats.TiledVersioned += R.TiledVersioned;
+    Stats.TiledFolded += R.TiledFolded;
     switch (R.Status) {
     case DiffStatus::Ok:
       ++Stats.Ok;

@@ -176,9 +176,9 @@ struct DiffResult {
   /// by the tiled lowering as tile-indivisible. Always a bug in either
   /// the picker or the lowering; campaigns are expected to report 0.
   unsigned TiledIndivisible = 0;
-  /// TryTiled and Native only: 1 when the tiled kernel the native
-  /// backend ran had a versioned tile fill (analysis/InteriorSpec.h).
-  unsigned TiledVersioned = 0;
+  /// TryTiled and Native only: 1 when the native backend folded the
+  /// tiled kernel it ran into a grid nest (analysis/TileFold.h).
+  unsigned TiledFolded = 0;
 };
 
 /// Runs one spec through all oracles. Deterministic: equal specs give
@@ -219,8 +219,9 @@ struct CampaignStats {
   /// Specs whose tiled lowering refused a tile the picker judged
   /// legal (tile-indivisible). Expected to be 0 in every campaign.
   unsigned TiledIndivisible = 0;
-  /// Specs whose tiled native kernel ran a versioned tile fill.
-  unsigned TiledVersioned = 0;
+  /// Specs whose tiled native kernel the backend folded into a grid
+  /// nest.
+  unsigned TiledFolded = 0;
   std::vector<CampaignFailure> Failures;
 };
 

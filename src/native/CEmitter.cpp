@@ -173,12 +173,6 @@ private:
         scanStmt(*C, Inner);
       break;
     }
-    case Stmt::Kind::If:
-      for (const StmtPtr &C : S.Body)
-        scanStmt(*C, Root);
-      for (const StmtPtr &C : S.ElseBody)
-        scanStmt(*C, Root);
-      break;
     case Stmt::Kind::Barrier:
       break;
     }
@@ -316,13 +310,10 @@ private:
   }
 
   void claimLoopVars(const Stmt &S) {
-    // The branches of a versioned fill share their loop variables.
     if (S.K == Stmt::Kind::Loop && !Names.hasVar(S.LoopVar->getVarId()))
       Names.setVar(S.LoopVar->getVarId(),
                    Names.claim(S.LoopVar->getVarName()));
     for (const StmtPtr &C : S.Body)
-      claimLoopVars(*C);
-    for (const StmtPtr &C : S.ElseBody)
       claimLoopVars(*C);
   }
 
@@ -477,17 +468,6 @@ void Printer::printStmt(const Stmt &S) {
     // runs — both here and on the simulator — so the barrier is
     // structural and compiles to nothing.
     line("/* work-group barrier: implicit (loop completed) */");
-    return;
-  case Stmt::Kind::If:
-    line("if (" + renderChecks(S.Checks) + ") {");
-    ++Indent;
-    printStmts(S.Body);
-    --Indent;
-    line("} else {");
-    ++Indent;
-    printStmts(S.ElseBody);
-    --Indent;
-    line("}");
     return;
   case Stmt::Kind::Loop:
     break;
@@ -650,16 +630,11 @@ std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
   };
   // The loops of \p Body grouped as regions see them: a split innermost
   // loop (edge, Simd interior, edge; analysis/InteriorSpec.h) is one
-  // group, a versioned tile fill (If) is one group, every other loop
-  // its own.
+  // group, every other loop its own.
   auto GroupLoops = [&](const std::vector<StmtPtr> &Body) {
     std::vector<std::vector<const Stmt *>> Groups;
     for (std::size_t I = 0; I != Body.size(); ++I) {
       const Stmt &S = *Body[I];
-      if (S.K == Stmt::Kind::If) {
-        Groups.push_back({&S});
-        continue;
-      }
       if (S.K != Stmt::Kind::Loop)
         continue;
       bool Split = I + 2 < Body.size() && S.LK == LoopKind::Glb &&
@@ -680,11 +655,7 @@ std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
   std::vector<KernelRegion> Out;
   std::unordered_set<std::string> UsedNames;
   auto Add = [&](std::vector<const Stmt *> Loops) {
-    // A versioned fill is named after its general (else) branch, which
-    // is the fill of the unversioned kernel.
     const Stmt *Named = Loops.front();
-    while (Named->K == Stmt::Kind::If)
-      Named = Named->ElseBody.front().get();
     KernelRegion R;
     R.Kind = loopKindName(Named->LK);
     std::string Base = R.Kind + "." + Named->LoopVar->getVarName();

@@ -35,11 +35,9 @@
 /// which is always correct.
 ///
 /// Vectorization: a loop carrying Stmt::Simd (the clamp-free interior
-/// of a split grid loop, the innermost loop of a clean tile fill or of
-/// a tiled compute nest) whose body only stores to buffers it never
+/// of a split grid loop) whose body only stores to buffers it never
 /// loads gets `#pragma omp simd` (`parallel for simd` when it is also a
-/// parallel root). A versioned tile fill prints as
-/// `if (guard) { clean fill } else { general fill }`. User functions are emitted `static inline` with
+/// parallel root). User functions are emitted `static inline` with
 /// `always_inline` so the vectorizer sees through them. Lanes compute
 /// exactly the scalar operations (-ffp-contract=off, no reassociation),
 /// so the output stays bit-identical.
@@ -106,20 +104,18 @@ struct CEmitOptions {
 /// region — the shape tiled+local-memory lowerings produce. The three
 /// loops of a split innermost loop (edge, interior, edge; see
 /// analysis/InteriorSpec.h) count as one loop, so a kernel and its
-/// interior-specialized form have the same region list. A versioned
-/// tile fill (an If whose branches are the clean and the general fill)
-/// is one region, named after the general fill.
+/// interior-specialized form have the same region list. A tiled kernel
+/// the native backend folds (analysis/TileFold.h) has the regions of
+/// the grid nest it folds into.
 struct KernelRegion {
   /// Deterministic name: "<kind>.<loop var>", e.g. "glb.i0", "lcl.i4"
   /// (deduplicated with numeric suffixes if loop-var names repeat).
   std::string Name;
   std::string Kind; ///< loopKindName of the region root
-  /// The (first) statement the timer wraps: a loop, or a versioned
-  /// fill's If.
+  /// The (first) loop the timer wraps.
   const ocl::Stmt *Loop = nullptr;
-  /// Every statement the timer wraps, consecutive siblings starting at
-  /// Loop: one nest, the three loops of a split innermost loop, or one
-  /// If.
+  /// Every loop the timer wraps, consecutive siblings starting at
+  /// Loop: one nest, or the three loops of a split innermost loop.
   std::vector<const ocl::Stmt *> Loops;
 };
 

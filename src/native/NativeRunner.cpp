@@ -6,7 +6,7 @@
 
 #include "native/NativeRunner.h"
 
-#include "analysis/InteriorSpec.h"
+#include "analysis/TileFold.h"
 #include "obs/Clock.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -330,7 +330,7 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
 ocl::Kernel lift::native::specializeForNative(const ocl::Kernel &K,
                                               analysis::SpecStats *Stats) {
   obs::Span S("native.specialize", "native");
-  return analysis::specializeInterior(K, Stats);
+  return analysis::specializeInterior(analysis::foldTiles(K, Stats), Stats);
 }
 
 namespace {

@@ -174,12 +174,12 @@ NativeKernelPtr compileCSource(const std::string &Source,
                                const std::string &EntryName,
                                const NativeOptions &O = {});
 
-/// The kernel AST the native backend compiles for \p K: the innermost
-/// grid loop of every eligible loop nest split into edge loops and a
-/// clamp-free, vectorizable interior, and every tile fill of a tiled
-/// local-memory kernel versioned into a clamp-free, vectorizable fill
-/// for tiles inside the grid and the general fill for edge tiles
-/// (analysis/InteriorSpec.h). Idempotent.
+/// The kernel AST the native backend compiles for \p K: every tiled
+/// nest folded back into the grid nest it tiles, tile fills forwarded
+/// and local memory gone (analysis/TileFold.h), then the innermost grid
+/// loop of every eligible loop nest split into edge loops and a
+/// clamp-free, vectorizable interior (analysis/InteriorSpec.h).
+/// Idempotent.
 ocl::Kernel specializeForNative(const ocl::Kernel &K,
                                 analysis::SpecStats *Stats = nullptr);
 

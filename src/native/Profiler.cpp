@@ -22,10 +22,12 @@ ProfiledKernelRun lift::native::profileKernel(
   NativeKernelPtr Kern = KernelCache::global().getOrCompile(
       LoweredHash ^ 0x9E3779B97F4A7C15ULL, C.K, PO);
 
-  // The binary runs the interior-specialized form of C.K, whose region
-  // list is C.K's (profileRegions groups a split loop); check that the
-  // emitted timers index exactly that many slots before running it.
-  std::vector<KernelRegion> Regions = profileRegions(C.K);
+  // The binary runs specializeForNative(C.K): a split loop's three
+  // loops are one region, and a folded tiled kernel has the regions of
+  // its grid nest. Check that the emitted timers index exactly that
+  // many slots before running it.
+  ocl::Kernel Spec = specializeForNative(C.K);
+  std::vector<KernelRegion> Regions = profileRegions(Spec);
   const std::string &Src = Kern->source();
   std::size_t Timers = 0;
   for (std::size_t At = Src.find("] += lift_prof_now()");
@@ -50,7 +52,7 @@ ProfiledKernelRun lift::native::profileKernel(
   for (std::size_t I = 0; I != Regions.size(); ++I) {
     codegen::RegionWork W;
     for (const ocl::Stmt *L : Regions[I].Loops) {
-      codegen::RegionWork LW = codegen::staticRegionWork(C.K, *L, Sizes);
+      codegen::RegionWork LW = codegen::staticRegionWork(Spec, *L, Sizes);
       W.Iterations += LW.Iterations;
       W.BytesRead += LW.BytesRead;
       W.BytesWritten += LW.BytesWritten;

@@ -97,17 +97,6 @@ private:
     case Stmt::Kind::Barrier:
       line("barrier(CLK_LOCAL_MEM_FENCE);");
       return;
-    case Stmt::Kind::If:
-      line("if (" + printChecks(S.Checks) + ") {");
-      ++Indent;
-      printStmts(S.Body);
-      --Indent;
-      line("} else {");
-      ++Indent;
-      printStmts(S.ElseBody);
-      --Indent;
-      line("}");
-      return;
     case Stmt::Kind::Loop: {
       std::string V = S.LoopVar->getVarName();
       std::string N = S.Count->toString();

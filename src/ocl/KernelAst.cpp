@@ -128,16 +128,6 @@ StmtPtr lift::ocl::sBarrier() {
   return S;
 }
 
-StmtPtr lift::ocl::sIf(std::vector<BoundsCheck> Checks,
-                       std::vector<StmtPtr> Then, std::vector<StmtPtr> Else) {
-  auto S = std::make_shared<Stmt>();
-  S->K = Stmt::Kind::If;
-  S->Checks = std::move(Checks);
-  S->Body = std::move(Then);
-  S->ElseBody = std::move(Else);
-  return S;
-}
-
 int Kernel::outputBufferId() const {
   for (const BufferDecl &B : Buffers)
     if (B.IsOutput)

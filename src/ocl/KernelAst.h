@@ -58,7 +58,7 @@ using KExprPtr = std::shared_ptr<const KExpr>;
 
 /// A conjunction of half-open bounds checks Lo <= Idx < Hi, used by
 /// Select for constant-padding (out-of-bounds lanes read the constant
-/// instead of memory) and by the If statement's guard.
+/// instead of memory).
 struct BoundsCheck {
   AExpr Idx;
   AExpr Lo;
@@ -117,7 +117,6 @@ public:
     AssignVar, ///< reg = value
     Loop,      ///< for-loop (sequential or NDRange-mapped)
     Barrier,   ///< work-group barrier
-    If,        ///< Body when every check holds, ElseBody otherwise
   };
 
   Kind K = Kind::Store;
@@ -135,18 +134,10 @@ public:
   AExpr Count;            ///< iteration count (loop runs 0..Count-1)
   bool Unroll = false;    ///< unrolled by the emitter (reduceSeqUnroll)
   /// Independent lanes found by analysis/InteriorSpec.h (the clamp-free
-  /// interior of a split grid loop, the innermost loop of a clean tile
-  /// fill or of a tiled compute nest): the C emitter may mark it
+  /// interior of a split grid loop): the C emitter may mark it
   /// `#pragma omp simd`.
   bool Simd = false;
-  std::vector<StmtPtr> Body; ///< Loop body / If then-branch
-
-  // If: a guarded statement. The native backend's tile-fill versioning
-  // (analysis/InteriorSpec.h) is its only producer: both branches then
-  // compute the same function, the then-branch specialized under the
-  // guard's facts.
-  std::vector<BoundsCheck> Checks; ///< conjunction, as in Select
-  std::vector<StmtPtr> ElseBody;
+  std::vector<StmtPtr> Body; ///< Loop body
 };
 
 StmtPtr sStore(int BufferId, AExpr Index, KExprPtr Value);
@@ -155,8 +146,6 @@ StmtPtr sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
               std::vector<StmtPtr> Body, bool Unroll = false,
               bool Simd = false);
 StmtPtr sBarrier();
-StmtPtr sIf(std::vector<BoundsCheck> Checks, std::vector<StmtPtr> Then,
-            std::vector<StmtPtr> Else);
 
 /// A launch precondition: the size expression Extent must be at least
 /// Min. The code generator records one per clamped slide/join over a

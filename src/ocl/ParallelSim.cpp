@@ -267,15 +267,6 @@ ParallelExecutor::PStmt ParallelExecutor::compileStmt(const Stmt &S) {
     break;
   case Stmt::Kind::Barrier:
     break;
-  case Stmt::Kind::If:
-    for (const BoundsCheck &C : S.Checks)
-      P.Checks.push_back(
-          {compileIndex(C.Idx), compileIndex(C.Lo), compileIndex(C.Hi)});
-    for (const StmtPtr &C : S.Body)
-      P.Body.push_back(compileStmt(*C));
-    for (const StmtPtr &C : S.ElseBody)
-      P.ElseBody.push_back(compileStmt(*C));
-    break;
   case Stmt::Kind::Loop: {
     int Slot = slotFor(S.LoopVar->getVarId());
     SlotNames[std::size_t(Slot)] = S.LoopVar->getVarName();
@@ -625,16 +616,6 @@ void ParallelExecutor::execStmt(const PStmt &St, ShardState &S) {
     return;
   case Stmt::Kind::Barrier:
     ++S.Counters.Barriers;
-    return;
-  case Stmt::Kind::If:
-    for (const PExpr::PCheck &C : St.Checks) {
-      std::int64_t I = evalProgram(C.Idx, S);
-      if (I < evalProgram(C.Lo, S) || I >= evalProgram(C.Hi, S)) {
-        execStmts(St.ElseBody, S);
-        return;
-      }
-    }
-    execStmts(St.Body, S);
     return;
   case Stmt::Kind::Loop: {
     std::int64_t Extent = evalProgram(St.CountProg, S);

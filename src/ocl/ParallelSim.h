@@ -129,10 +129,7 @@ private:
     int Slot = -1;
     int CountProg = -1;
     bool Unroll = false;
-    std::vector<PStmt> Body; ///< Loop body / If then-branch
-    // If
-    std::vector<PExpr::PCheck> Checks;
-    std::vector<PStmt> ElseBody;
+    std::vector<PStmt> Body; ///< Loop body
   };
 
   /// One flattened level of a parallel (Wrg/Glb) loop nest.

@@ -192,16 +192,6 @@ void Executor::execStmt(const Stmt &S) {
   case Stmt::Kind::Barrier:
     ++Counters.Barriers;
     return;
-  case Stmt::Kind::If:
-    for (const BoundsCheck &C : S.Checks) {
-      std::int64_t I = evalIndex(C.Idx);
-      if (I < evalIndex(C.Lo) || I >= evalIndex(C.Hi)) {
-        execStmts(S.ElseBody);
-        return;
-      }
-    }
-    execStmts(S.Body);
-    return;
   case Stmt::Kind::Loop: {
     std::int64_t Extent = evalIndex(S.Count);
     unsigned VarId = S.LoopVar->getVarId();

@@ -333,9 +333,13 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
       }
     }
     // Caller-supplied concrete extents refine symbolic dimensions so
-    // the per-dimension tile clamp and the ragged reassembly know the
-    // real grid. The caller promises to run the lowered program at
-    // exactly these output extents.
+    // the per-dimension tile clamp knows the real grid. The caller
+    // promises to run the lowered program at exactly these output
+    // extents. The ragged reassembly keeps the symbolic extents: its
+    // tile offset min(m - k, k * t) is then the one the input tiles
+    // use, min(n - u, k * t) with n - u == m - k, so every access of a
+    // tile names its offset in one form.
+    std::vector<AExpr> JoinExt = OutExt;
     if (!O.OutputExtents.empty()) {
       if (O.OutputExtents.size() != N)
         return lowerFail(WhyNot,
@@ -386,7 +390,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
                             TC);
       });
       Lowered = untileNd(N, buildMapNest(N, Prim::MapWrg, PerTile, Tiles),
-                         Clamp ? OutExt : std::vector<AExpr>{});
+                         Clamp ? JoinExt : std::vector<AExpr>{});
     } else if (std::optional<ZipNdMatch> Z = matchZipNd(M->Input, N)) {
       // Multi-grid shape: mapNd(f, zipNd(comps)). Components that are
       // themselves slideNd neighborhoods get overlapping tiles of
@@ -484,7 +488,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
           N,
           buildMapNest(N, Prim::MapWrg, PerTile,
                        lift::stencil::zipNd(N, std::move(TiledComps))),
-          Clamp ? OutExt : std::vector<AExpr>{});
+          Clamp ? JoinExt : std::vector<AExpr>{});
     } else {
       return lowerFail(WhyNot,
                        "tiling requested but the input is neither a slideNd "

@@ -7,10 +7,12 @@
 #include "analysis/InteriorSpec.h"
 
 #include "analysis/RangeAnalysis.h"
+#include "analysis/TileFold.h"
 #include "codegen/Runner.h"
 #include "native/CEmitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
+#include "tuner/Tuner.h"
 
 #include <gtest/gtest.h>
 
@@ -147,44 +149,20 @@ rewrite::LoweringOptions tiled16Local() {
   return O;
 }
 
-/// The innermost Wrg loop of \p K (the work-group loop whose body holds
-/// the tile fill and the compute nest), or nullptr.
-const ocl::Stmt *innermostWrg(const ocl::Kernel &K) {
-  const ocl::Stmt *Found = nullptr;
-  std::function<void(const ocl::Stmt &)> Walk = [&](const ocl::Stmt &S) {
-    if (S.K != ocl::Stmt::Kind::Loop)
-      return;
-    if (S.LK == ocl::LoopKind::Wrg)
-      Found = &S;
-    for (const ocl::StmtPtr &C : S.Body)
-      Walk(*C);
-  };
-  for (const ocl::StmtPtr &S : K.Body)
-    Walk(*S);
-  return Found;
+/// The kernel the native backend compiles (native::specializeForNative):
+/// tiled nests folded, then grid loops split.
+ocl::Kernel forNative(const ocl::Kernel &K, SpecStats *S = nullptr) {
+  return specializeInterior(foldTiles(K, S), S);
 }
 
-/// True when the innermost Lcl loops under \p Body (a reduction's Seq
-/// loop may sit inside one) all carry Simd.
-bool innermostLoopsSimd(const std::vector<ocl::StmtPtr> &Body) {
-  auto IsLcl = [](const ocl::StmtPtr &S) {
-    return S->K == ocl::Stmt::Kind::Loop && S->LK == ocl::LoopKind::Lcl;
-  };
-  bool Ok = true;
-  std::function<void(const ocl::Stmt &)> Walk = [&](const ocl::Stmt &S) {
-    bool Nested = false;
-    for (const ocl::StmtPtr &C : S.Body)
-      if (IsLcl(C)) {
-        Nested = true;
-        Walk(*C);
-      }
-    if (!Nested)
-      Ok &= S.Simd;
-  };
+/// True when some loop under \p Body is a work-group or local loop.
+bool hasTileLoop(const std::vector<ocl::StmtPtr> &Body) {
   for (const ocl::StmtPtr &S : Body)
-    if (IsLcl(S))
-      Walk(*S);
-  return Ok;
+    if (S->K == ocl::Stmt::Kind::Loop &&
+        (S->LK == ocl::LoopKind::Wrg || S->LK == ocl::LoopKind::Lcl ||
+         hasTileLoop(S->Body)))
+      return true;
+  return false;
 }
 
 TEST(InteriorSpec, SplitsEveryUntiledBenchmarkGridLoop) {
@@ -238,9 +216,9 @@ Lowered lowerIterated(const stencil::Benchmark &B, int Steps) {
 
 TEST(InteriorSpec, SecondPassIsIdentity) {
   // The native backend specializes every kernel it compiles, including
-  // kernels a caller already specialized: a second pass must split and
-  // version nothing and emit byte-identical C -- for the untiled
-  // kernels, the iterated kernel and the 14 tiled16-local kernels.
+  // kernels a caller already specialized: a second pass must fold and
+  // split nothing and emit byte-identical C -- for the untiled kernels,
+  // the iterated kernel and the 14 tiled16-local kernels.
   std::vector<Lowered> Kernels;
   for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
     Kernels.push_back(lower(B));
@@ -250,10 +228,12 @@ TEST(InteriorSpec, SecondPassIsIdentity) {
       lowerIterated(stencil::findBenchmark("Jacobi2D5pt"), 8));
   for (const Lowered &L : Kernels) {
     SpecStats First, Second;
-    ocl::Kernel Once = specializeInterior(L.C.K, &First);
-    ocl::Kernel Twice = specializeInterior(Once, &Second);
+    ocl::Kernel Once = forNative(L.C.K, &First);
+    ocl::Kernel Twice = forNative(Once, &Second);
     EXPECT_TRUE(First.changed()) << L.C.K.Name;
+    EXPECT_EQ(First.TilesUnfolded, 0u) << L.C.K.Name;
     EXPECT_FALSE(Second.changed()) << L.C.K.Name;
+    EXPECT_EQ(Second.TilesUnfolded, 0u) << L.C.K.Name;
     EXPECT_EQ(Second.SelectsResolved, 0u) << L.C.K.Name;
     EXPECT_EQ(native::emitC(Twice), native::emitC(Once)) << L.C.K.Name;
   }
@@ -284,65 +264,82 @@ TEST(InteriorSpec, BitIdenticalOnDegenerateGrids) {
   }
 }
 
-TEST(InteriorSpec, VersionsEveryTiledLocalFill) {
-  // tiled16-local of every benchmark: no grid loop splits (there are
-  // none), but each tile fill in the innermost work-group loop becomes
-  //   if (1 <= w < tiles - M) clean fill else original fill
-  // whose then-branch is clamp-free on the work-group variable w with
-  // Simd innermost loops, while the else-branch keeps the clamps. The
-  // compute nest stays one copy with a Simd innermost loop.
+TEST(InteriorSpec, FoldsEveryTiledKernel) {
+  // Every tiling of Lift's space -- tiles of 8, 16, 32 and 64 outputs,
+  // with and without local memory, every tile coarsening -- lowered at
+  // the measurement grid as the tuner lowers it, minus the ones the
+  // tuner refutes there: the native kernel has no local buffer, no
+  // work-group or local loop, and a Simd interior loop; the fold leaves
+  // no tiled nest behind.
+  tuner::TuningSpace Space = tuner::liftSpace();
   for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
-    Lowered L = lower(B, tiled16Local());
-    SpecStats S;
-    ocl::Kernel K = specializeInterior(L.C.K, &S);
-    EXPECT_EQ(S.LoopsSplit, 0u) << B.Name;
-    EXPECT_GE(S.FillsVersioned, 1u) << B.Name;
-    const ocl::Stmt *Wrg = innermostWrg(K);
-    ASSERT_NE(Wrg, nullptr) << B.Name;
-    unsigned W = Wrg->LoopVar->getVarId();
-    unsigned Guards = 0, Computes = 0;
-    for (const ocl::StmtPtr &C : Wrg->Body) {
-      if (C->K == ocl::Stmt::Kind::If) {
-        ++Guards;
-        ASSERT_EQ(C->Checks.size(), 1u) << B.Name;
-        EXPECT_EQ(C->Checks[0].Idx, Wrg->LoopVar) << B.Name;
-        EXPECT_TRUE(C->Checks[0].Lo->isCst(1)) << B.Name;
-        EXPECT_TRUE(clampFreeOn(C->Body, W)) << B.Name;
-        EXPECT_FALSE(clampFreeOn(C->ElseBody, W)) << B.Name;
-        EXPECT_TRUE(innermostLoopsSimd(C->Body)) << B.Name;
-      } else if (C->K == ocl::Stmt::Kind::Loop) {
-        ++Computes;
-        EXPECT_TRUE(innermostLoopsSimd({C})) << B.Name;
-      }
-    }
-    EXPECT_EQ(Guards, S.FillsVersioned) << B.Name;
-    EXPECT_GE(Computes, 1u) << B.Name;
+    stencil::BenchmarkInstance I = B.Build();
+    auto Sizes = stencil::makeSizeEnv(I, B.MeasureExtents);
+    for (std::int64_t T : Space.TileOutputs)
+      for (bool Local : {false, true})
+        for (std::int64_t TC : Space.TileCoarsenFactors) {
+          if (TC > T || T % TC != 0)
+            continue;
+          rewrite::LoweringOptions O;
+          O.Tile = true;
+          O.TileOutputs = T;
+          O.UseLocalMem = Local;
+          O.TileCoarsen = TC;
+          O.OutputExtents.assign(B.MeasureExtents.begin(),
+                                 B.MeasureExtents.end());
+          std::string What = B.Name + " " + O.describe();
+          ir::Program Low = rewrite::lowerStencil(I.P, O);
+          ASSERT_NE(Low, nullptr) << What;
+          if (refuteSplitDivisibility(Low, Sizes))
+            continue; // the tuner prunes it: a chunk misses the grid
+          codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+          SpecStats S;
+          ocl::Kernel K = forNative(C.K, &S);
+          EXPECT_EQ(S.TilesFolded, 1u) << What;
+          EXPECT_EQ(S.TilesUnfolded, 0u) << What;
+          for (const ocl::BufferDecl &Buf : K.Buffers)
+            EXPECT_EQ(Buf.Space, ocl::MemSpace::Global) << What;
+          EXPECT_FALSE(hasTileLoop(K.Body)) << What;
+          std::vector<const ocl::Stmt *> Inner = innermostGridLoops(K);
+          EXPECT_TRUE(std::any_of(Inner.begin(), Inner.end(),
+                                  [](const ocl::Stmt *L) { return L->Simd; }))
+              << What;
+        }
   }
 }
 
-TEST(InteriorSpec, VersionedFillsBitIdenticalOnRaggedGrids) {
-  // Both simulators execute the guarded fill. The innermost extent 49 =
-  // 3 * 16 + 1 puts the last clean tile's halo on the grid edge, the
-  // shape that needs the wider guard for halos of two (Gaussian,
-  // Jacobi3D13pt).
+TEST(InteriorSpec, FoldedKernelsBitIdenticalOnRaggedGrids) {
+  // tiled16-local of every benchmark on grids whose innermost extent is
+  // 16k + 1 or prime, so the last tile overlaps its neighbour: the
+  // folded kernel, on the simulator, matches the tiled kernel on both
+  // simulators bit for bit.
   for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
-    Lowered L = lower(B, tiled16Local());
-    codegen::Compiled Spec = L.C;
-    Spec.K = specializeInterior(L.C.K);
-    stencil::Extents E = B.SmallExtents.size() == 3
-                             ? stencil::Extents{17, 18, 49}
-                             : stencil::Extents{19, 49};
-    auto Env = stencil::makeSizeEnv(L.I, E);
-    auto Inputs = stencil::makeBenchmarkInputs(B, E);
-    auto Ref = codegen::runCompiled(L.C, Inputs, Env);
-    auto Got = codegen::runCompiled(Spec, Inputs, Env, ocl::CacheConfig(),
-                                    /*Jobs=*/2);
-    ASSERT_EQ(Ref.Output, Got.Output) << B.Name;
-    ocl::Executor Seq(Spec.K, Env);
-    for (std::size_t I = 0; I != Inputs.size(); ++I)
-      Seq.bindInput(Spec.InputBufferIds[I], Inputs[I]);
-    Seq.run();
-    EXPECT_EQ(Seq.bufferContents(Spec.OutputBufferId), Ref.Output) << B.Name;
+    for (std::int64_t Inner : {49, 53}) {
+      stencil::Extents E = B.SmallExtents.size() == 3
+                               ? stencil::Extents{17, 18, Inner}
+                               : stencil::Extents{19, Inner};
+      rewrite::LoweringOptions O = tiled16Local();
+      O.OutputExtents.assign(E.begin(), E.end());
+      Lowered L = lower(B, O);
+      codegen::Compiled Folded = L.C;
+      SpecStats S;
+      Folded.K = forNative(L.C.K, &S);
+      ASSERT_EQ(S.TilesFolded, 1u) << B.Name;
+      auto Env = stencil::makeSizeEnv(L.I, E);
+      auto Inputs = stencil::makeBenchmarkInputs(B, E);
+      ocl::Executor Seq(L.C.K, Env);
+      for (std::size_t I = 0; I != Inputs.size(); ++I)
+        Seq.bindInput(L.C.InputBufferIds[I], Inputs[I]);
+      Seq.run();
+      std::vector<float> Ref = Seq.bufferContents(L.C.OutputBufferId);
+      EXPECT_EQ(codegen::runCompiled(L.C, Inputs, Env, ocl::CacheConfig(),
+                                     /*Jobs=*/2)
+                    .Output,
+                Ref)
+          << B.Name << " " << Inner;
+      EXPECT_EQ(codegen::runCompiled(Folded, Inputs, Env).Output, Ref)
+          << B.Name << " " << Inner;
+    }
   }
 }
 

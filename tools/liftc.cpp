@@ -75,11 +75,11 @@ int usage() {
       "  threads), and 'tune' ranks candidates by measured seconds\n"
       "  instead of the device model (it compiles the candidates on\n"
       "  --jobs workers, then times each distinct binary once with\n"
-      "  --jobs OpenMP threads). The native backend splits every\n"
+      "  --jobs OpenMP threads). The native backend folds every tiled\n"
+      "  kernel back into the grid loops it tiles (tile fills read\n"
+      "  straight from global memory, no local buffer), splits every\n"
       "  innermost grid loop into edge loops and a clamp-free,\n"
-      "  vectorized interior loop, versions every tile fill into a\n"
-      "  clamp-free, vectorized fill for tiles inside the grid and the\n"
-      "  general fill for edge tiles, and compiles for the host ISA\n"
+      "  vectorized interior loop, and compiles for the host ISA\n"
       "  (-march=native when the compiler accepts it)\n"
       "analysis (emit/run): --check-bounds statically proves every buffer\n"
       "  access in bounds of the kernel the backend runs (prints a\n"

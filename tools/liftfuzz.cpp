@@ -53,9 +53,9 @@ void usage() {
       "  --native     also compile every lowered kernel to C with the\n"
       "               host compiler, dlopen and run it, and require its\n"
       "               output to be bit-identical to the interpreter (the\n"
-      "               backend compiles every kernel interior-specialized,\n"
-      "               tiled local-memory kernels with a versioned tile\n"
-      "               fill, counted as tiled-versioned=N);\n"
+      "               backend folds every tiled kernel into a grid nest,\n"
+      "               counted as tiled-folded=N, and compiles every\n"
+      "               kernel interior-specialized);\n"
       "               mismatch artifacts include the emitted C source\n"
       "  --check-bounds\n"
       "               statically bounds-check every lowered kernel at the\n"
@@ -160,7 +160,7 @@ int main(int Argc, char **Argv) {
       Extra += " tiled-remainder=" + std::to_string(Stats.TiledRemainder) +
                " tiled-indivisible=" + std::to_string(Stats.TiledIndivisible);
     if (O.Diff.TryTiled && O.Diff.Native)
-      Extra += " tiled-versioned=" + std::to_string(Stats.TiledVersioned);
+      Extra += " tiled-folded=" + std::to_string(Stats.TiledFolded);
     std::printf("liftfuzz: seed=%llu count=%llu ok=%u discarded=%u "
                 "mismatches=%u skipped-rewrites=%u%s%s\n",
                 (unsigned long long)Seed, (unsigned long long)Count,
