@@ -26,7 +26,6 @@ using ocl::LoopKind;
 using ocl::Stmt;
 using ocl::StmtPtr;
 using IndexFn = std::function<AExpr(const AExpr &)>;
-using Subst = std::unordered_map<unsigned, AExpr>;
 
 bool isLoop(const StmtPtr &S, LoopKind LK) {
   return S->K == Stmt::Kind::Loop && S->LK == LK;
@@ -96,9 +95,13 @@ std::vector<StmtPtr> mapStmts(const std::vector<StmtPtr> &Body,
   return Out;
 }
 
+/// \p Body with variable \p Id replaced by \p Value, each index
+/// subtree shared within the body rewritten once.
 std::vector<StmtPtr> substituteStmts(const std::vector<StmtPtr> &Body,
-                                     const Subst &S) {
-  return mapStmts(Body, [&](const AExpr &E) { return substitute(E, S); });
+                                     unsigned Id, const AExpr &Value) {
+  Substitution Sub({Id});
+  std::vector<AExpr> Values{Value};
+  return mapStmts(Body, [&](const AExpr &E) { return Sub(E, Values); });
 }
 
 void visitExpr(const KExprPtr &E, const std::function<void(const AExpr &)> &Fn) {
@@ -242,20 +245,30 @@ struct Forwarder {
   const ocl::Kernel &K;
   const std::unordered_map<int, Fill> &Fills;
   bool Ok = true;
+  /// Per fill buffer: its value's index expressions at the coordinates
+  /// of every read so far, so a term over one tile axis (a clamped row)
+  /// is rebuilt once per distinct coordinate on that axis.
+  std::unordered_map<int, Substitution> AtCoords;
 
-  KExprPtr forward(const Fill &Fl, const AExpr &R, const Facts &F) {
-    Subst Coords;
+  KExprPtr forward(int Buf, const Fill &Fl, const AExpr &R, const Facts &F) {
+    std::vector<AExpr> Coords(Fl.Vars.size());
     std::int64_t Stride = 1;
     for (std::size_t I = Fl.Vars.size(); I-- > 0;) {
       AExpr C = floorDiv(R, cst(Stride));
       if (I != 0)
         C = floorMod(C, cst(Fl.Counts[I]));
-      C = simplifyWithFacts(C, F);
-      Coords.emplace(Fl.Vars[I]->getVarId(), std::move(C));
+      Coords[I] = simplifyWithFacts(C, F);
       Stride *= Fl.Counts[I];
     }
+    auto It = AtCoords.find(Buf);
+    if (It == AtCoords.end()) {
+      std::vector<unsigned> Ids;
+      for (const AExpr &V : Fl.Vars)
+        Ids.push_back(V->getVarId());
+      It = AtCoords.emplace(Buf, Substitution(std::move(Ids))).first;
+    }
     return mapExpr(Fl.Value,
-                   [&](const AExpr &E) { return substitute(E, Coords); });
+                   [&](const AExpr &E) { return It->second(E, Coords); });
   }
 
   KExprPtr expr(const KExprPtr &E, const Facts &F) {
@@ -268,7 +281,7 @@ struct Forwarder {
         Ok = false;
         return E;
       }
-      return forward(It->second, E->Index, F);
+      return forward(E->BufferId, It->second, E->Index, F);
     }
     case KExpr::Kind::CallUF: {
       std::vector<KExprPtr> Args;
@@ -324,9 +337,9 @@ StmtPtr collapseCoarsened(const StmtPtr &L) {
     return L;
   std::int64_t N = L->Count->getCst() * S->Count->getCst();
   AExpr V = var(L->LoopVar->getVarName(), Range(0, N - 1));
-  std::vector<StmtPtr> Body = substituteStmts(
-      S->Body,
-      {{S->LoopVar->getVarId(), sub(V, mul(S->Count, L->LoopVar))}});
+  std::vector<StmtPtr> Body =
+      substituteStmts(S->Body, S->LoopVar->getVarId(),
+                      sub(V, mul(S->Count, L->LoopVar)));
   if (mentions(Body, L->LoopVar->getVarId()))
     return L;
   return ocl::sLoop(LoopKind::Lcl, L->Dim, V, cst(N), std::move(Body));
@@ -426,13 +439,13 @@ struct Folder {
       // Every tile computes the same C outputs.
       if (!provablyLEThorough(cst(1), W->Count, Launch))
         return std::nullopt;
-      Body = substituteStmts(Body, {{LId, J}});
+      Body = substituteStmts(Body, LId, J);
       return GridDim{J, L->Count};
     }
     std::vector<AExpr> Offsets = clampedOffsets(K, Body, W->LoopVar);
     Offsets.push_back(mul(cst(C), W->LoopVar));
     for (const AExpr &O : Offsets) {
-      std::vector<StmtPtr> Folded = substituteStmts(Body, {{LId, sub(J, O)}});
+      std::vector<StmtPtr> Folded = substituteStmts(Body, LId, sub(J, O));
       if (mentions(Folded, WId))
         continue;
       AExpr N = coveredExtent(O, C, W);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <mutex>
 
@@ -698,6 +699,36 @@ namespace {
 /// Per-call substitution memo keyed on interned node identity: subtrees
 /// shared through the arena are rewritten once per substitute() call.
 using SubstMemo = std::unordered_map<const ArithExpr *, AExpr>;
+
+/// \p E (neither a constant nor a variable) rebuilt through the
+/// canonicalizing factories from its operands mapped by \p Sub.
+template <typename Fn> AExpr rebuild(const AExpr &E, Fn &&Sub) {
+  const std::vector<AExpr> &Ops = E->getOperands();
+  switch (E->getKind()) {
+  case Kind::Add: {
+    AExpr Sum = cst(0);
+    for (const AExpr &Op : Ops)
+      Sum = add(Sum, Sub(Op));
+    return Sum;
+  }
+  case Kind::Mul: {
+    AExpr Product = cst(1);
+    for (const AExpr &Op : Ops)
+      Product = mul(Product, Sub(Op));
+    return Product;
+  }
+  case Kind::Div:
+    return floorDiv(Sub(Ops[0]), Sub(Ops[1]));
+  case Kind::Mod:
+    return floorMod(Sub(Ops[0]), Sub(Ops[1]));
+  case Kind::Min:
+    return amin(Sub(Ops[0]), Sub(Ops[1]));
+  case Kind::Max:
+    return amax(Sub(Ops[0]), Sub(Ops[1]));
+  default:
+    unreachable("covered switch");
+  }
+}
 } // namespace
 
 static AExpr substituteRec(const AExpr &E,
@@ -716,41 +747,8 @@ static AExpr substituteRec(const AExpr &E,
   auto Cached = Memo.find(E.get());
   if (Cached != Memo.end())
     return Cached->second;
-  AExpr Result;
-  switch (E->getKind()) {
-  case Kind::Add: {
-    AExpr Sum = cst(0);
-    for (const AExpr &Op : E->getOperands())
-      Sum = add(Sum, substituteRec(Op, Subst, Memo));
-    Result = Sum;
-    break;
-  }
-  case Kind::Mul: {
-    AExpr Product = cst(1);
-    for (const AExpr &Op : E->getOperands())
-      Product = mul(Product, substituteRec(Op, Subst, Memo));
-    Result = Product;
-    break;
-  }
-  case Kind::Div:
-    Result = floorDiv(substituteRec(E->getOperands()[0], Subst, Memo),
-                      substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
-  case Kind::Mod:
-    Result = floorMod(substituteRec(E->getOperands()[0], Subst, Memo),
-                      substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
-  case Kind::Min:
-    Result = amin(substituteRec(E->getOperands()[0], Subst, Memo),
-                  substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
-  case Kind::Max:
-    Result = amax(substituteRec(E->getOperands()[0], Subst, Memo),
-                  substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
-  default:
-    unreachable("covered switch");
-  }
+  AExpr Result =
+      rebuild(E, [&](const AExpr &Op) { return substituteRec(Op, Subst, Memo); });
   Memo.emplace(E.get(), Result);
   return Result;
 }
@@ -759,6 +757,62 @@ AExpr lift::substitute(const AExpr &E,
                        const std::unordered_map<unsigned, AExpr> &Subst) {
   SubstMemo Memo;
   return substituteRec(E, Subst, Memo);
+}
+
+Substitution::Substitution(std::vector<unsigned> Vars) : Vars(std::move(Vars)) {
+  assert(this->Vars.size() <= 64 && "one bit per variable");
+}
+
+std::uint64_t Substitution::reads(const AExpr &E) {
+  switch (E->getKind()) {
+  case Kind::Cst:
+    return 0;
+  case Kind::Var: {
+    auto It = std::find(Vars.begin(), Vars.end(), E->getVarId());
+    return It == Vars.end() ? 0 : std::uint64_t(1) << (It - Vars.begin());
+  }
+  default:
+    break;
+  }
+  auto Cached = Reads.find(E.get());
+  if (Cached != Reads.end())
+    return Cached->second.second;
+  std::uint64_t Mask = 0;
+  for (const AExpr &Op : E->getOperands())
+    Mask |= reads(Op);
+  Reads.emplace(E.get(), std::make_pair(E, Mask));
+  return Mask;
+}
+
+std::size_t Substitution::KeyHash::operator()(const Key &K) const {
+  std::size_t H = 0;
+  for (const AExpr &N : K)
+    H = H * 1000003u ^ std::hash<const ArithExpr *>()(N.get());
+  return H;
+}
+
+AExpr Substitution::rec(const AExpr &E, const std::vector<AExpr> &Values) {
+  if (E->getKind() == Kind::Cst)
+    return E;
+  std::uint64_t Mask = reads(E);
+  if (E->getKind() == Kind::Var)
+    return Mask ? Values[std::size_t(std::countr_zero(Mask))] : E;
+  Key K{E};
+  for (std::size_t I = 0; I != Vars.size(); ++I)
+    if (Mask >> I & 1)
+      K.push_back(Values[I]);
+  auto Cached = Memo.find(K);
+  if (Cached != Memo.end())
+    return Cached->second;
+  AExpr Result = rebuild(E, [&](const AExpr &Op) { return rec(Op, Values); });
+  Memo.emplace(std::move(K), Result);
+  return Result;
+}
+
+AExpr Substitution::operator()(const AExpr &E,
+                               const std::vector<AExpr> &Values) {
+  assert(Values.size() == Vars.size() && "one value per variable");
+  return rec(E, Values);
 }
 
 void lift::collectVars(const AExpr &E, std::vector<unsigned> &Out) {

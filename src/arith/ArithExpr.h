@@ -209,6 +209,36 @@ AExpr clampIndex(AExpr I, AExpr N);
 AExpr substitute(const AExpr &E,
                  const std::unordered_map<unsigned, AExpr> &Subst);
 
+/// substitute() of many expressions, each under its own values for one
+/// fixed list of variables, memoized across all calls: a subtree is
+/// rebuilt once per combination of the values of the variables it
+/// reads. So a subtree shared between the expressions of a kernel body
+/// is rebuilt once, and so is one that reads only variables whose
+/// values repeat between calls. (*this)(E, Values) equals
+/// substitute(E, {Vars[I] -> Values[I]}) node for node.
+class Substitution {
+public:
+  explicit Substitution(std::vector<unsigned> Vars);
+  AExpr operator()(const AExpr &E, const std::vector<AExpr> &Values);
+
+private:
+  /// The bit set of Vars that \p E reads.
+  std::uint64_t reads(const AExpr &E);
+  AExpr rec(const AExpr &E, const std::vector<AExpr> &Values);
+
+  /// A node followed by the values of the variables it reads. Holding
+  /// the nodes keeps their addresses from being reused.
+  using Key = std::vector<AExpr>;
+  struct KeyHash {
+    std::size_t operator()(const Key &K) const;
+  };
+
+  std::vector<unsigned> Vars;
+  std::unordered_map<const ArithExpr *, std::pair<AExpr, std::uint64_t>>
+      Reads;
+  std::unordered_map<Key, AExpr, KeyHash> Memo; ///< by node address
+};
+
 /// Collects the ids of all variables occurring in \p E into \p Out.
 void collectVars(const AExpr &E, std::vector<unsigned> &Out);
 

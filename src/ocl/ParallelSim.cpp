@@ -6,6 +6,7 @@
 
 #include "ocl/ParallelSim.h"
 
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
@@ -13,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <functional>
 #include <limits>
+#include <map>
+#include <mutex>
 
 using namespace lift;
 using namespace lift::ir;
@@ -333,6 +337,124 @@ void ParallelExecutor::compileTopLevel(const std::vector<StmtPtr> &Stmts) {
   }
 }
 
+/// Gives every program its key slot and splits each keyed Affine
+/// program into a shared sum of the terms that do not read its key plus
+/// the terms that do (see ParallelSim.h).
+void ParallelExecutor::assignKeySlots() {
+  // The loop structure: how many loops bind each slot, and the slot of
+  // the loop enclosing its binder (-1 at the top).
+  std::vector<int> Binders(SlotNames.size(), 0);
+  std::vector<int> Parent(SlotNames.size(), -1);
+  std::function<void(const PStmt &, int)> Walk = [&](const PStmt &St,
+                                                     int Outer) {
+    if (St.Kind != Stmt::Kind::Loop)
+      return;
+    ++Binders[std::size_t(St.Slot)];
+    Parent[std::size_t(St.Slot)] = Outer;
+    for (const PStmt &C : St.Body)
+      Walk(C, St.Slot);
+  };
+  for (const TopStmt &T : TopLevel) {
+    if (!T.IsRegion) {
+      Walk(T.S, -1);
+      continue;
+    }
+    int Outer = -1;
+    for (const RegionLevel &L : T.Levels) {
+      ++Binders[std::size_t(L.Slot)];
+      Parent[std::size_t(L.Slot)] = Outer;
+      Outer = L.Slot;
+    }
+    for (const PStmt &C : T.Inner)
+      Walk(C, Outer);
+  }
+  auto Encloses = [&](int Outer, int Inner) {
+    for (int S = Parent[std::size_t(Inner)]; S >= 0;
+         S = Parent[std::size_t(S)])
+      if (S == Outer)
+        return true;
+    return false;
+  };
+  // The deepest slot of \p Deps when they all lie on one chain of
+  // singly bound, nested loops; -1 otherwise.
+  auto KeyOf = [&](const std::vector<int> &Deps) {
+    int Key = -1;
+    for (int S : Deps) {
+      if (Binders[std::size_t(S)] != 1)
+        return -1;
+      if (Key < 0 || Encloses(Key, S))
+        Key = S;
+    }
+    for (int S : Deps)
+      if (S != Key && !Encloses(S, Key))
+        return -1;
+    return Key;
+  };
+
+  // Slots each program reads, transitively (sub-programs always have
+  // smaller ids than the programs using them).
+  std::vector<std::vector<int>> Deps(Progs.size());
+  auto Join = [&](std::vector<int> &Into, const std::vector<int> &From) {
+    std::vector<int> Out;
+    std::set_union(Into.begin(), Into.end(), From.begin(), From.end(),
+                   std::back_inserter(Out));
+    Into = std::move(Out);
+  };
+  auto SlotsOf = [&](const IndexProgram &P) {
+    std::vector<int> D;
+    for (const auto &T : P.SlotTerms)
+      Join(D, {T.second});
+    for (const auto &T : P.SubTerms)
+      Join(D, Deps[std::size_t(T.second)]);
+    if (P.F == IndexProgram::Form::Binary) {
+      Join(D, Deps[std::size_t(P.A)]);
+      Join(D, Deps[std::size_t(P.B)]);
+    }
+    return D;
+  };
+  for (std::size_t Id = 0; Id != Progs.size(); ++Id) {
+    Deps[Id] = SlotsOf(Progs[Id]);
+    Progs[Id].Key = Deps[Id].empty() ? -1 : KeyOf(Deps[Id]);
+  }
+
+  // Reassociation. Partial sums are interned on their terms, so the
+  // accesses of one stencil row share one; they are appended to Progs
+  // and split again in turn (fewer terms each time).
+  using Terms = std::vector<std::pair<std::int64_t, int>>;
+  std::map<std::pair<Terms, Terms>, int> Partials;
+  for (std::size_t Id = 0; Id != Progs.size(); ++Id) {
+    IndexProgram &P = Progs[Id];
+    if (P.F != IndexProgram::Form::Affine || P.Key < 0)
+      continue;
+    int Key = P.Key;
+    Terms InvSlots, VarSlots, InvSubs, VarSubs;
+    for (const auto &T : P.SlotTerms)
+      (T.second == Key ? VarSlots : InvSlots).push_back(T);
+    for (const auto &T : P.SubTerms) {
+      const std::vector<int> &D = Deps[std::size_t(T.second)];
+      (std::binary_search(D.begin(), D.end(), Key) ? VarSubs : InvSubs)
+          .push_back(T);
+    }
+    if (InvSlots.size() + InvSubs.size() < 2)
+      continue;
+    auto [It, New] = Partials.try_emplace({InvSlots, InvSubs}, 0);
+    if (New) {
+      IndexProgram Sum;
+      Sum.F = IndexProgram::Form::Affine;
+      Sum.SlotTerms = InvSlots;
+      Sum.SubTerms = InvSubs;
+      Deps.push_back(SlotsOf(Sum));
+      Sum.Key = KeyOf(Deps.back());
+      It->second = int(Progs.size());
+      Progs.push_back(std::move(Sum)); // invalidates P
+    }
+    IndexProgram &Q = Progs[Id];
+    Q.SlotTerms = std::move(VarSlots);
+    Q.SubTerms = {{1, It->second}};
+    Q.SubTerms.insert(Q.SubTerms.end(), VarSubs.begin(), VarSubs.end());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Construction
 //===----------------------------------------------------------------------===//
@@ -383,7 +505,9 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
   CacheTags.assign(std::size_t(CacheSets * Cache.Ways), -1);
 
   compileTopLevel(K.Body);
+  assignKeySlots();
   Main.Slots.assign(SlotNames.size(), UnboundSlot);
+  resetCaches(Main);
   Main.CacheLive = true;
 }
 
@@ -423,6 +547,26 @@ std::vector<float> ParallelExecutor::bufferContents(int BufferId) const {
 
 std::int64_t ParallelExecutor::evalProgram(int ProgId, ShardState &S) {
   const IndexProgram &P = Progs[std::size_t(ProgId)];
+  if (P.Key < 0) {
+    if (P.IsConst)
+      return P.ConstVal;
+    ++S.IndexEvals;
+    return computeProgram(P, S);
+  }
+  ShardState::CachedValue &C = S.ProgCache[std::size_t(ProgId)];
+  std::uint64_t Stamp = S.SlotStamps[std::size_t(P.Key)];
+  if (C.Stamp == Stamp) {
+    ++S.IndexReused;
+    return C.Value;
+  }
+  ++S.IndexEvals;
+  C.Value = computeProgram(P, S);
+  C.Stamp = Stamp;
+  return C.Value;
+}
+
+std::int64_t ParallelExecutor::computeProgram(const IndexProgram &P,
+                                              ShardState &S) {
   switch (P.F) {
   case IndexProgram::Form::Const:
     return P.ConstVal;
@@ -472,12 +616,25 @@ ParallelExecutor::storageFor(int BufferId, ShardState &S) {
   return S.PrivBufs[std::size_t(BufferId)];
 }
 
+void ParallelExecutor::bindSlot(int Slot, std::int64_t Value,
+                                ShardState &S) const {
+  S.Slots[std::size_t(Slot)] = Value;
+  S.SlotStamps[std::size_t(Slot)] = ++S.Clock;
+}
+
 void ParallelExecutor::touchLine(std::int64_t Line, ShardState &S) {
+  std::int64_t Set = Line % CacheSets;
   if (!S.CacheLive) {
+    // A repeat of the set's last traced line is an MRU hit at replay.
+    std::int64_t &Last = S.LastLine[std::size_t(Set)];
+    if (Last == Line) {
+      ++S.TraceFiltered;
+      return;
+    }
+    Last = Line;
     S.Trace.push_back(Line);
     return;
   }
-  std::int64_t Set = Line % CacheSets;
   std::int64_t *Ways = &CacheTags[std::size_t(Set * Cache.Ways)];
   // LRU within the set: front is most recently used.
   for (int W = 0; W != Cache.Ways; ++W) {
@@ -620,10 +777,10 @@ void ParallelExecutor::execStmt(const PStmt &St, ShardState &S) {
   case Stmt::Kind::Loop: {
     std::int64_t Extent = evalProgram(St.CountProg, S);
     for (std::int64_t I = 0; I != Extent; ++I) {
-      S.Slots[std::size_t(St.Slot)] = I;
+      bindSlot(St.Slot, I, S);
       execStmts(St.Body, S);
     }
-    S.Slots[std::size_t(St.Slot)] = UnboundSlot;
+    bindSlot(St.Slot, UnboundSlot, S);
     S.Counters.LoopIterations += St.Unroll ? 1 : std::uint64_t(Extent);
     return;
   }
@@ -637,7 +794,22 @@ ParallelExecutor::ShardState ParallelExecutor::makeShard() const {
   S.Registers = Main.Registers;
   S.PrivBufs = Main.PrivBufs;
   S.CacheLive = false;
+  S.LastLine.assign(std::size_t(CacheSets), -1);
+  resetCaches(S);
   return S;
+}
+
+void ParallelExecutor::resetCaches(ShardState &S) const {
+  S.Clock = 1;
+  S.SlotStamps.assign(S.Slots.size(), S.Clock);
+  S.ProgCache.assign(Progs.size(), ShardState::CachedValue());
+}
+
+void ParallelExecutor::addStats(const ShardState &S) {
+  Stats.IndexEvals += S.IndexEvals;
+  Stats.IndexReused += S.IndexReused;
+  Stats.TraceLines += S.Trace.size();
+  Stats.TraceFiltered += S.TraceFiltered;
 }
 
 void ParallelExecutor::runRegion(const TopStmt &Region) {
@@ -687,9 +859,16 @@ void ParallelExecutor::runRegion(const TopStmt &Region) {
           std::int64_t Lo = ChunkLo(C), Hi = ChunkLo(C + 1);
           ChunkSpan.arg("items", Hi - Lo);
           for (std::int64_t I = Lo; I != Hi; ++I) {
-            for (std::size_t L = 0; L != Region.Levels.size(); ++L)
-              S.Slots[std::size_t(Region.Levels[L].Slot)] =
-                  (I / Strides[L]) % Region.Levels[L].Extent;
+            // Re-bind the first level that moves and every deeper one:
+            // a program keyed on a deeper level may read a moved one.
+            bool Moved = I == Lo;
+            for (std::size_t L = 0; L != Region.Levels.size(); ++L) {
+              const RegionLevel &RL = Region.Levels[L];
+              std::int64_t V = (I / Strides[L]) % RL.Extent;
+              Moved = Moved || S.Slots[std::size_t(RL.Slot)] != V;
+              if (Moved)
+                bindSlot(RL.Slot, V, S);
+            }
             execStmts(Region.Inner, S);
           }
         },
@@ -714,6 +893,7 @@ void ParallelExecutor::runRegion(const TopStmt &Region) {
       Main.Counters.SelectEvals += S.Counters.SelectEvals;
       for (std::int64_t Line : S.Trace)
         touchLine(Line, Main);
+      addStats(S);
     }
     Main.Registers = std::move(Shards.back().Registers);
     Main.PrivBufs = std::move(Shards.back().PrivBufs);
@@ -725,11 +905,33 @@ void ParallelExecutor::run() {
   obs::Span RunSpan("sim.run", "sim");
   RunSpan.arg("kernel", K.Name);
   RunSpan.arg("jobs", std::int64_t(Jobs));
+  Stats = CacheStats();
   for (const TopStmt &T : TopLevel) {
     if (T.IsRegion)
       runRegion(T);
     else
       execStmt(T.S, Main);
   }
+  addStats(Main);
+  Main.IndexEvals = Main.IndexReused = 0;
   RunSpan.arg("flops", std::int64_t(Main.Counters.Flops));
+  RunSpan.arg("index_evals", std::int64_t(Stats.IndexEvals));
+  RunSpan.arg("index_reused", std::int64_t(Stats.IndexReused));
+  RunSpan.arg("trace_lines", std::int64_t(Stats.TraceLines));
+  RunSpan.arg("trace_filtered", std::int64_t(Stats.TraceFiltered));
+
+  obs::Registry &Reg = obs::Registry::global();
+  static std::once_flag RatioProvider;
+  std::call_once(RatioProvider, [&Reg] {
+    Reg.addProvider([](obs::Registry &R) {
+      double Evals = double(R.counter("sim.index.evals").value());
+      double Reused = double(R.counter("sim.index.reused").value());
+      R.gauge("sim.index.reuse_ratio")
+          .set(Evals + Reused == 0 ? 0.0 : Reused / (Evals + Reused));
+    });
+  });
+  Reg.counter("sim.index.evals").inc(Stats.IndexEvals);
+  Reg.counter("sim.index.reused").inc(Stats.IndexReused);
+  Reg.counter("sim.trace.lines").inc(Stats.TraceLines);
+  Reg.counter("sim.trace.filtered").inc(Stats.TraceFiltered);
 }

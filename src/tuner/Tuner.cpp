@@ -78,14 +78,9 @@ std::string PruneStats::describe() const {
        {"native-compile-failed", NativeFailed}});
 }
 
-namespace {
-
-/// The modeled cache is shrunk by the working-set ratio so reuse
-/// behaves at measurement scale as it would at target scale: a d-dim
-/// stencil's reuse window spans a few rows/planes whose footprint
-/// scales with the product of the d-1 fastest dimensions.
-CacheConfig scaledCache(const CacheConfig &Base, const Extents &Measure,
-                        const Extents &Target) {
+CacheConfig lift::tuner::scaledCache(const CacheConfig &Base,
+                                     const Extents &Measure,
+                                     const Extents &Target) {
   double Scale = 1.0;
   for (std::size_t D = 1; D < Measure.size(); ++D)
     Scale *= double(Measure[D]) / double(Target[D]);
@@ -95,6 +90,8 @@ CacheConfig scaledCache(const CacheConfig &Base, const Extents &Measure,
       MinBytes, std::int64_t(double(C.TotalBytes) * Scale));
   return C;
 }
+
+namespace {
 
 ExecCounters scaleCounters(const ExecCounters &C, double S) {
   ExecCounters R;

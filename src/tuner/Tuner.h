@@ -177,6 +177,15 @@ struct TuneResult {
   std::uint64_t MemoHits = 0; ///< evaluations served from the memo
 };
 
+/// The cache a candidate is simulated with: \p Base shrunk by the
+/// working-set ratio so reuse behaves at measurement scale as it would
+/// at target scale (a d-dim stencil's reuse window spans a few
+/// rows/planes whose footprint scales with the product of the d-1
+/// fastest dimensions), and never below four lines per way.
+ocl::CacheConfig scaledCache(const ocl::CacheConfig &Base,
+                             const stencil::Extents &Measure,
+                             const stencil::Extents &Target);
+
 /// Evaluates one candidate under the modeled objective, without the
 /// evaluation memo (used directly for the fixed, untuned hand-written
 /// reference configurations). \p Jobs is the simulator's thread count.

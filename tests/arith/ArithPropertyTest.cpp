@@ -222,6 +222,31 @@ TEST(ArithProperty, SubstitutionAgreesWithEvaluation) {
   }
 }
 
+TEST(ArithProperty, MemoizedSubstitutionMatchesSubstitute) {
+  // One Substitution over v0 and v1, applied to many trees under value
+  // pairs drawn from a few positive candidates (so its memo is hit
+  // across calls), must build exactly the nodes substitute() builds.
+  RandomSource Rng(0x5eed0006);
+  VarPool Pool(3);
+  const AExpr &V2 = Pool.Vars[2];
+  std::vector<AExpr> Candidates{cst(1), cst(3), V2, add(V2, cst(2)),
+                                mul(cst(2), V2), amin(V2, cst(4))};
+  Substitution Sub({Pool.Vars[0]->getVarId(), Pool.Vars[1]->getVarId()});
+  for (int Trial = 0; Trial != 150; ++Trial) {
+    BuiltExpr B = randomTree(Rng, Pool, 3, false);
+    for (int Pick = 0; Pick != 3; ++Pick) {
+      std::vector<AExpr> Values;
+      for (int I = 0; I != 2; ++I)
+        Values.push_back(Candidates[std::size_t(
+            Rng.nextInt(0, std::int64_t(Candidates.size()) - 1))]);
+      AExpr Want = substitute(B.E, {{Pool.Vars[0]->getVarId(), Values[0]},
+                                    {Pool.Vars[1]->getVarId(), Values[1]}});
+      ASSERT_EQ(Sub(B.E, Values).get(), Want.get())
+          << B.E->toString() << " -> " << Want->toString();
+    }
+  }
+}
+
 TEST(ArithProperty, RangeAnalysisBoundsActualValues) {
   // The memoized interval analysis must be conservative: every concrete
   // evaluation lies inside the computed range.

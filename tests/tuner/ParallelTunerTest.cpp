@@ -5,22 +5,27 @@
 // The parallel tuner must be a pure performance feature: the winning
 // candidate, its predicted time, and the set of valid candidates are
 // identical for any job count, the evaluation memo never changes
-// results, a measured sweep never times a kernel while a compile runs,
-// and a search in which every candidate is pruned reports the
-// per-constraint counts instead of failing opaquely.
+// results, the simulator behind a full sweep reports the reference
+// simulator's counters, a measured sweep never times a kernel while a
+// compile runs, and a search in which every candidate is pruned
+// reports the per-constraint counts instead of failing opaquely.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tuner/Tuner.h"
 
+#include "codegen/CodeGen.h"
 #include "native/NativeRunner.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
+#include "ocl/ParallelSim.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 using namespace lift;
 using namespace lift::ocl;
@@ -83,6 +88,77 @@ TEST(ParallelTuner, MemoDeduplicatesEquivalentLowerings) {
     ASSERT_TRUE(Fresh.Valid) << E.C.describe();
     EXPECT_FALSE(Fresh.FromMemo) << E.C.describe();
     EXPECT_EQ(E.T.Total, Fresh.T.Total) << E.C.describe();
+  }
+}
+
+TEST(ParallelTuner, WholeSweepMatchesReferenceSimulator) {
+  // Every valid liftSpace() candidate of three benchmarks, simulated as
+  // the tuner simulates it (lowered and run at the measurement grid
+  // under the scaled cache): the compiled, sharded ParallelExecutor
+  // reports the reference Executor's counters. Work-group-size variants
+  // of one candidate share its lowering, so each lowering runs once.
+  // The sweep's winner and every predicted time are also the same at
+  // jobs 1 and 4.
+  DeviceSpec Dev = deviceNvidiaK20c();
+  for (const char *Name : {"Jacobi2D5pt", "Jacobi2D9pt", "Hotspot3D"}) {
+    const Benchmark &B = findBenchmark(Name);
+    TuningProblem P = makeProblem(B, /*LargeTarget=*/false);
+    TuneResult R1 = tuneStencil(P, Dev, liftSpace());
+    TuneOptions O4;
+    O4.Jobs = 4;
+    TuneResult R4 = tuneStencil(P, Dev, liftSpace(), O4);
+    EXPECT_EQ(R1.Best.C.describe(), R4.Best.C.describe()) << Name;
+    EXPECT_EQ(R1.Best.T.Total, R4.Best.T.Total) << Name;
+    ASSERT_EQ(R1.All.size(), R4.All.size()) << Name;
+    for (std::size_t I = 0; I != R1.All.size(); ++I) {
+      EXPECT_EQ(R1.All[I].C.describe(), R4.All[I].C.describe()) << Name;
+      EXPECT_EQ(R1.All[I].T.Total, R4.All[I].T.Total)
+          << Name << " " << R1.All[I].C.describe();
+    }
+
+    std::vector<rewrite::LoweringOptions> Lowerings;
+    std::set<std::string> Seen;
+    for (const Evaluated &E : R1.All) {
+      rewrite::LoweringOptions LO = E.C.Options;
+      LO.OutputExtents.assign(P.Measure.begin(), P.Measure.end());
+      if (Seen.insert(LO.describe()).second)
+        Lowerings.push_back(LO);
+    }
+    CacheConfig Cache = scaledCache(Dev.Cache, P.Measure, P.Target);
+    auto Sizes = makeSizeEnv(P.Instance, P.Measure);
+    std::vector<ExecCounters> Ref(Lowerings.size()), Par(Lowerings.size());
+    ThreadPool::shared().parallelFor(
+        Lowerings.size(),
+        [&](std::size_t I) {
+          ir::Program Low = rewrite::lowerStencil(P.Instance.P, Lowerings[I]);
+          codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+          Executor Seq(C.K, Sizes, Cache);
+          ParallelExecutor Sharded(C.K, Sizes, Cache, /*Jobs=*/4);
+          for (std::size_t X = 0; X != P.Inputs.size(); ++X) {
+            Seq.bindInput(C.InputBufferIds[X], P.Inputs[X]);
+            Sharded.bindInput(C.InputBufferIds[X], P.Inputs[X]);
+          }
+          Seq.run();
+          Sharded.run();
+          Ref[I] = Seq.counters();
+          Par[I] = Sharded.counters();
+        },
+        4);
+    for (std::size_t I = 0; I != Lowerings.size(); ++I) {
+      std::string What = std::string(Name) + "/" + Lowerings[I].describe();
+      EXPECT_EQ(Ref[I].GlobalLoads, Par[I].GlobalLoads) << What;
+      EXPECT_EQ(Ref[I].GlobalStores, Par[I].GlobalStores) << What;
+      EXPECT_EQ(Ref[I].GlobalLoadLineMisses, Par[I].GlobalLoadLineMisses)
+          << What;
+      EXPECT_EQ(Ref[I].LocalLoads, Par[I].LocalLoads) << What;
+      EXPECT_EQ(Ref[I].LocalStores, Par[I].LocalStores) << What;
+      EXPECT_EQ(Ref[I].PrivateAccesses, Par[I].PrivateAccesses) << What;
+      EXPECT_EQ(Ref[I].Flops, Par[I].Flops) << What;
+      EXPECT_EQ(Ref[I].UserFunCalls, Par[I].UserFunCalls) << What;
+      EXPECT_EQ(Ref[I].LoopIterations, Par[I].LoopIterations) << What;
+      EXPECT_EQ(Ref[I].Barriers, Par[I].Barriers) << What;
+      EXPECT_EQ(Ref[I].SelectEvals, Par[I].SelectEvals) << What;
+    }
   }
 }
 
